@@ -14,7 +14,7 @@ import click
 from . import client as client_mod
 from . import prompting, querygen, translation
 from .errors import ToolkitError
-from .manifest import read_jsonl, write_jsonl, write_manifest
+from .manifest import read_jsonl, write_json, write_jsonl, write_manifest
 from .metrics import EvalReport, ResponsePair, evaluate
 from .querygen import BenchmarkInstance
 from .report import build_report, format_text_report
@@ -29,6 +29,17 @@ STYLE_BY_FLAG = {
 
 def _load_dataset(path: str) -> list[BenchmarkInstance]:
     return [BenchmarkInstance.from_dict(r) for r in read_jsonl(path)]
+
+
+def _load_report(path: str) -> EvalReport:
+    return EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _finish(config: dict, inputs: list, outputs: list, message: str, seed: int = 0):
+    """Write the running command's manifest beside its first output, then echo."""
+    command = click.get_current_context().info_name
+    write_manifest(command, config, inputs, outputs, seed=seed)
+    click.echo(message)
 
 
 def _fail(message: str):
@@ -53,8 +64,8 @@ def build(source, output, language, skip_log):
     write_jsonl(output, (inst.to_dict() for inst in instances))
     skip_log = skip_log or f"{output}.skips.jsonl"
     write_jsonl(skip_log, skips)
-    write_manifest("build", {"language": language}, [source], [output, skip_log])
-    click.echo(f"built {len(instances)} instances ({len(skips)} skipped) -> {output}")
+    _finish({"language": language}, [source], [output, skip_log],
+            f"built {len(instances)} instances ({len(skips)} skipped) -> {output}")
 
 
 @main.command()
@@ -67,8 +78,7 @@ def pairs(dataset, n, seed, output):
     instances = _load_dataset(dataset)
     records = querygen.build_consistency_pairs(instances, n, seed)
     write_jsonl(output, (p.to_dict() for p in records))
-    write_manifest("pairs", {"n": n}, [dataset], [output], seed=seed)
-    click.echo(f"wrote {len(records)} pairs -> {output}")
+    _finish({"n": n}, [dataset], [output], f"wrote {len(records)} pairs -> {output}", seed)
 
 
 @main.command("export-sft")
@@ -83,9 +93,8 @@ def export_sft(dataset, pairing, instruction, output):
     instances = _load_dataset(dataset)
     records = prompting.export_sft(instances, pairing_mode, instruction)
     write_jsonl(output, (r.to_dict() for r in records))
-    write_manifest("export-sft", {"pairing": pairing_mode, "instruction": instruction},
-                   [dataset], [output])
-    click.echo(f"wrote {len(records)} SFT records -> {output}")
+    _finish({"pairing": pairing_mode, "instruction": instruction}, [dataset], [output],
+            f"wrote {len(records)} SFT records -> {output}")
 
 
 @main.command()
@@ -96,7 +105,7 @@ def export_sft(dataset, pairing, instruction, output):
 @click.option("--style", "style_flag", type=click.Choice(sorted(STYLE_BY_FLAG)),
               default="icl", show_default=True)
 @click.option("--shots", default=3, show_default=True, type=int)
-@click.option("--reference", type=click.Choice(["absolute", "chronological"]),
+@click.option("--reference", type=click.Choice(prompting.REFERENCE_KINDS),
               default="chronological", show_default=True)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--output", required=True, type=click.Path())
@@ -123,9 +132,8 @@ def prompt(dataset, pool, style_flag, shots, reference, seed, output, preview):
     if preview and rows:
         Path(preview).write_text(rows[0]["prompt"] + "\n", encoding="utf-8")
     inputs = [dataset] + ([pool] if pool else [])
-    write_manifest("prompt", {"style": style.kind, "shots": style.shots,
-                              "reference": reference}, inputs, [output], seed=seed)
-    click.echo(f"wrote {len(rows)} prompts -> {output}")
+    _finish({"style": style.kind, "shots": style.shots, "reference": reference},
+            inputs, [output], f"wrote {len(rows)} prompts -> {output}", seed)
 
 
 @main.command()
@@ -149,17 +157,16 @@ def collect(prompts_path, endpoint, model, output, cache_dir, style_flag,
         base_url=endpoint, model_name=model, temperature=temperature,
         max_new_tokens=max_new_tokens, parallelism=parallelism,
         retry_limit=retry_limit, timeout=timeout)
-    style = prompting.PromptStyle(STYLE_BY_FLAG[style_flag],
-                                  0 if style_flag == "zero" else 3)
+    style = prompting.PromptStyle(STYLE_BY_FLAG[style_flag])
     prompt_rows = list(read_jsonl(prompts_path))
     triples = [(r["instance_id"], r["reference_kind"], r["prompt"]) for r in prompt_rows]
     cache = client_mod.ResponseCache(cache_dir)
     records = client_mod.collect_responses(triples, config, cache, style=style, seed=seed)
     write_jsonl(output, (r.to_dict() for r in records))
-    write_manifest("collect", {"endpoint": endpoint, "model": model,
-                               "style": style.kind}, [prompts_path], [output], seed=seed)
     failures = sum(1 for r in records if r.error)
-    click.echo(f"collected {len(records)} responses ({failures} failed) -> {output}")
+    _finish({"endpoint": endpoint, "model": model, "style": style.kind},
+            [prompts_path], [output],
+            f"collected {len(records)} responses ({failures} failed) -> {output}", seed)
     if failures:
         sys.exit(2)
 
@@ -186,11 +193,9 @@ def evaluate_cmd(dataset, responses, output, strict):
     instances = _load_dataset(dataset)
     pairs = _group_responses(read_jsonl(responses))
     report = evaluate(instances, pairs, strict=strict)
-    Path(output).parent.mkdir(parents=True, exist_ok=True)
-    Path(output).write_text(json.dumps(report.to_dict(), indent=2) + "\n",
-                            encoding="utf-8")
-    write_manifest("evaluate", {"strict": strict}, [dataset, responses], [output])
-    click.echo(f"scored {report.m} pairs -> {output}")
+    write_json(output, report.to_dict())
+    _finish({"strict": strict}, [dataset, responses], [output],
+            f"scored {report.m} pairs -> {output}")
 
 
 @main.command("report")
@@ -202,21 +207,15 @@ def evaluate_cmd(dataset, responses, output, strict):
               help="Output stem; writes <stem>.json and <stem>.txt.")
 def report_cmd(report_path, dataset, compare, output):
     """Render the report document (JSON + fixed-width text)."""
-    report = EvalReport.from_dict(json.loads(Path(report_path).read_text(encoding="utf-8")))
-    compare_report = None
-    if compare:
-        compare_report = EvalReport.from_dict(
-            json.loads(Path(compare).read_text(encoding="utf-8")))
-    doc = build_report(report, _load_dataset(dataset), compare_report)
+    doc = build_report(_load_report(report_path), _load_dataset(dataset),
+                       _load_report(compare) if compare else None)
     json_path = Path(f"{output}.json")
     text_path = Path(f"{output}.txt")
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    text_path.write_text(format_text_report(doc), encoding="utf-8")
+    text = format_text_report(doc)
+    write_json(json_path, doc)
+    text_path.write_text(text, encoding="utf-8")
     inputs = [report_path, dataset] + ([compare] if compare else [])
-    write_manifest("report", {"compare": bool(compare)}, inputs,
-                   [str(json_path), str(text_path)])
-    click.echo(format_text_report(doc))
+    _finish({"compare": bool(compare)}, inputs, [json_path, text_path], text)
 
 
 @main.command("mt-agree")
@@ -257,11 +256,9 @@ def mt_agree(hypothesis, reference, max_order, expected_lang, profiles, output):
             inputs.append(corpus)
         summary["tsr"] = round(translation.translation_success_rate(
             hyp_lines, expected_lang, lang_profiles), 2)
-    Path(output).parent.mkdir(parents=True, exist_ok=True)
-    Path(output).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    write_manifest("mt-agree", {"max_order": max_order,
-                                "expected_lang": expected_lang}, inputs, [output])
-    click.echo(json.dumps(summary))
+    write_json(output, summary)
+    _finish({"max_order": max_order, "expected_lang": expected_lang}, inputs, [output],
+            json.dumps(summary))
 
 
 @main.command()
@@ -274,8 +271,7 @@ def subsample(dataset, n, seed, output):
     instances = _load_dataset(dataset)
     chosen = querygen.subsample(instances, n, seed)
     write_jsonl(output, (inst.to_dict() for inst in chosen))
-    write_manifest("subsample", {"n": n}, [dataset], [output], seed=seed)
-    click.echo(f"wrote {len(chosen)} instances -> {output}")
+    _finish({"n": n}, [dataset], [output], f"wrote {len(chosen)} instances -> {output}", seed)
 
 
 def run():

@@ -23,7 +23,7 @@ from .errors import (
     UnparsableSentence,
     YearOutOfRange,
 )
-from .relations import relation_phrase
+from .relations import relation_spec
 
 MIN_YEAR = 634
 MAX_YEAR = 2100
@@ -95,7 +95,7 @@ class TemporalFact:
 
     def sentence(self, with_times: bool = True) -> str:
         """Canonical sentence body (no trailing period)."""
-        base = f"{self.subject} {relation_phrase(self.relation)} {self.object}"
+        base = f"{self.subject} {relation_spec(self.relation).phrase} {self.object}"
         if not with_times:
             return base
         out = f"{base} from {self.start.format()}"
@@ -153,7 +153,7 @@ def parse_fact_context(text: str, subject: str, relation: str) -> Timeline:
     if not text:
         raise EmptyContext("fact context is empty")
 
-    phrase = relation_phrase(relation)
+    phrase = relation_spec(relation).phrase
     tail = re.compile(
         rf"\sfrom ({_TIME_RX})(?: to ({_TIME_RX}))?\s*\.?$"
     )

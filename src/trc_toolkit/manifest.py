@@ -1,4 +1,4 @@
-"""JSONL I/O helpers and per-run manifests.
+"""JSON and JSONL I/O helpers and per-run manifests.
 
 Every CLI invocation writes one manifest beside its primary output so a run
 can be audited and reproduced: content digests of inputs and config, the seed,
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -43,42 +42,25 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_digest: str
-    input_digests: list[str] = field(default_factory=list)
-    output_paths: list[str] = field(default_factory=list)
-    seed: int = 0
-    toolkit_version: str = ""
-    timestamp: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "input_digests": self.input_digests,
-            "output_paths": self.output_paths,
-            "seed": self.seed,
-            "toolkit_version": self.toolkit_version,
-            "timestamp": self.timestamp,
-        }
+def write_json(path: str | Path, doc) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def write_manifest(command: str, config: dict, inputs: list[str | Path],
                    outputs: list[str | Path], seed: int = 0) -> Path:
     from . import __version__
 
-    manifest = RunManifest(
-        command=command,
-        config_digest=sha256_text(json.dumps(config, sort_keys=True)),
-        input_digests=[sha256_file(p) for p in inputs],
-        output_paths=[str(p) for p in outputs],
-        seed=seed,
-        toolkit_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
     primary = Path(outputs[0]) if outputs else Path(f"{command}.out")
     path = primary.with_name(primary.name + ".manifest.json")
-    path.write_text(json.dumps(manifest.to_dict(), indent=2) + "\n", encoding="utf-8")
+    write_json(path, {
+        "command": command,
+        "config_digest": sha256_text(json.dumps(config, sort_keys=True)),
+        "input_digests": [sha256_file(p) for p in inputs],
+        "output_paths": [str(p) for p in outputs],
+        "seed": seed,
+        "toolkit_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    })
     return path

@@ -10,7 +10,7 @@ from __future__ import annotations
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     EmptyInput,
@@ -35,10 +35,7 @@ def exact_match(pred: str, gold: str) -> int:
     return int(normalize_answer(pred) == normalize_answer(gold))
 
 
-def token_f1(pred: str, gold: str) -> float:
-    """Multiset token overlap F1; both empty scores 1, only one empty 0."""
-    pred_tokens = normalize_answer(pred)
-    gold_tokens = normalize_answer(gold)
+def _f1(pred_tokens: list[str], gold_tokens: list[str]) -> float:
     if not pred_tokens and not gold_tokens:
         return 1.0
     if not pred_tokens or not gold_tokens:
@@ -49,6 +46,11 @@ def token_f1(pred: str, gold: str) -> float:
     precision = common / len(pred_tokens)
     recall = common / len(gold_tokens)
     return 2 * precision * recall / (precision + recall)
+
+
+def token_f1(pred: str, gold: str) -> float:
+    """Multiset token overlap F1; both empty scores 1, only one empty 0."""
+    return _f1(normalize_answer(pred), normalize_answer(gold))
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,38 @@ def _pct(x: float) -> float:
     return round(x, 2)
 
 
-_SCORERS: dict[str, Callable[[str, str], float]] = {
-    "em": exact_match,
-    "f1": token_f1,
-}
+def _mean_pct(scores: Sequence[float]) -> float:
+    return _pct(100 * sum(scores) / len(scores))
+
+
+def _score_pair(pair: ResponsePair, gold: str, strict: bool) -> tuple:
+    """The per-pair rule every aggregate is built from.
+
+    Returns (em_a, em_c, f1_a, f1_c, identical, identical_and_correct), each
+    answer normalised once. `strict` compares raw strings for the last two.
+    """
+    a = normalize_answer(pair.answer_absolute)
+    c = normalize_answer(pair.answer_chronological)
+    g = normalize_answer(gold)
+    if strict:
+        identical = pair.answer_absolute == pair.answer_chronological
+        correct = identical and pair.answer_absolute == gold
+    else:
+        identical = a == c
+        correct = identical and a == g
+    return int(a == g), int(c == g), _f1(a, g), _f1(c, g), identical, correct
 
 
 def score_deviation(absolute_scores: Sequence[float],
                     chronological_scores: Sequence[float]) -> float:
-    """Mean absolute-arm score minus mean chronological-arm score, in percent."""
+    """ATR minus CTR: the difference of the two arms' rounded percentages.
+
+    Rounding the arms first makes deviation = ATR - CTR hold exactly for the
+    reported numbers.
+    """
     if not absolute_scores or not chronological_scores:
         raise EmptyInput("no scores to aggregate")
-    mean_a = sum(absolute_scores) / len(absolute_scores)
-    mean_c = sum(chronological_scores) / len(chronological_scores)
-    return _pct(100 * (mean_a - mean_c))
+    return _pct(_mean_pct(absolute_scores) - _mean_pct(chronological_scores))
 
 
 def _require_golds(pairs: Sequence[ResponsePair], golds: Mapping[str, str]):
@@ -94,38 +114,24 @@ def _require_golds(pairs: Sequence[ResponsePair], golds: Mapping[str, str]):
 def factual_deviation(pairs: Sequence[ResponsePair], golds: Mapping[str, str],
                       scorer: str = "em") -> float:
     _require_golds(pairs, golds)
-    score = _SCORERS[scorer]
-    abs_scores = [score(p.answer_absolute, golds[p.instance_id]) for p in pairs]
-    chr_scores = [score(p.answer_chronological, golds[p.instance_id]) for p in pairs]
-    return score_deviation(abs_scores, chr_scores)
-
-
-def _identical(pair: ResponsePair, strict: bool) -> bool:
-    if strict:
-        return pair.answer_absolute == pair.answer_chronological
-    return normalize_answer(pair.answer_absolute) == normalize_answer(pair.answer_chronological)
+    arm = {"em": 0, "f1": 2}[scorer]
+    rows = [_score_pair(p, golds[p.instance_id], False) for p in pairs]
+    return score_deviation([r[arm] for r in rows], [r[arm + 1] for r in rows])
 
 
 def referential_consistency(pairs: Sequence[ResponsePair], strict: bool = False) -> float:
     """Percentage of pairs answered identically across the two references."""
     if not pairs:
         raise EmptyInput("no response pairs")
-    return _pct(100 * sum(_identical(p, strict) for p in pairs) / len(pairs))
+    # whether the arms are identical does not depend on the gold
+    return _mean_pct([_score_pair(p, "", strict)[4] for p in pairs])
 
 
 def consistent_factuality(pairs: Sequence[ResponsePair], golds: Mapping[str, str],
                           strict: bool = False) -> float:
     """Percentage of pairs answered identically and correctly."""
     _require_golds(pairs, golds)
-    hits = 0
-    for pair in pairs:
-        if not _identical(pair, strict):
-            continue
-        if strict:
-            hits += pair.answer_absolute == golds[pair.instance_id]
-        else:
-            hits += exact_match(pair.answer_absolute, golds[pair.instance_id])
-    return _pct(100 * hits / len(pairs))
+    return _mean_pct([_score_pair(p, golds[p.instance_id], strict)[5] for p in pairs])
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -184,38 +190,24 @@ def evaluate(dataset: Sequence[BenchmarkInstance], pairs: Sequence[ResponsePair]
     for pair in pairs:
         if pair.instance_id not in by_id:
             raise UnknownInstanceId(f"response for unknown instance {pair.instance_id!r}")
-    golds = {inst.id: inst.answer for inst in dataset}
+    rows = [_score_pair(p, by_id[p.instance_id].answer, strict) for p in pairs]
+    em_a, em_c, f1_a, f1_c, identical, correct = zip(*rows)
 
-    def mean_pct(scores):
-        return _pct(100 * sum(scores) / len(scores))
+    def breakdown(attr: str):
+        groups: dict[str, list[tuple]] = {}
+        for pair, row in zip(pairs, rows):
+            groups.setdefault(getattr(by_id[pair.instance_id], attr), []).append(row)
+        return {name: (_mean_pct([r[4] for r in group]),
+                       _mean_pct([r[5] for r in group]), len(group))
+                for name, group in groups.items()}
 
-    em_a = [exact_match(p.answer_absolute, golds[p.instance_id]) for p in pairs]
-    em_c = [exact_match(p.answer_chronological, golds[p.instance_id]) for p in pairs]
-    f1_a = [token_f1(p.answer_absolute, golds[p.instance_id]) for p in pairs]
-    f1_c = [token_f1(p.answer_chronological, golds[p.instance_id]) for p in pairs]
-
-    def breakdown(key: Callable[[BenchmarkInstance], str]):
-        groups: dict[str, list[ResponsePair]] = {}
-        for pair in pairs:
-            groups.setdefault(key(by_id[pair.instance_id]), []).append(pair)
-        return {
-            name: (referential_consistency(group, strict),
-                   consistent_factuality(group, golds, strict),
-                   len(group))
-            for name, group in groups.items()
-        }
-
-    em_ctr, em_atr = mean_pct(em_c), mean_pct(em_a)
-    f1_ctr, f1_atr = mean_pct(f1_c), mean_pct(f1_a)
     return EvalReport(
-        em_ctr=em_ctr, em_atr=em_atr,
-        f1_ctr=f1_ctr, f1_atr=f1_atr,
-        # derived from the rounded arms so the reported identity holds exactly
-        dev_em=_pct(em_atr - em_ctr),
-        dev_f1=_pct(f1_atr - f1_ctr),
-        trc=referential_consistency(pairs, strict),
-        trcf=consistent_factuality(pairs, golds, strict),
+        em_ctr=_mean_pct(em_c), em_atr=_mean_pct(em_a),
+        f1_ctr=_mean_pct(f1_c), f1_atr=_mean_pct(f1_a),
+        dev_em=score_deviation(em_a, em_c),
+        dev_f1=score_deviation(f1_a, f1_c),
+        trc=_mean_pct(identical), trcf=_mean_pct(correct),
         m=len(pairs),
-        per_entity=breakdown(lambda inst: inst.entity_type),
-        per_language=breakdown(lambda inst: inst.language),
+        per_entity=breakdown("entity_type"),
+        per_language=breakdown("language"),
     )

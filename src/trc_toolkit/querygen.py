@@ -26,7 +26,7 @@ from .errors import (
     ToolkitError,
 )
 from .kb import AFTER, BEFORE, TemporalFact, Timeline, neighbor_fact, parse_fact_context
-from .relations import QueryTemplate, normalize_relation, relation_entity_type
+from .relations import RelationSpec, normalize_relation, relation_spec
 
 INSTANCE_FIELDS = (
     "id", "language", "relation", "entity_type", "direction",
@@ -87,7 +87,7 @@ class ConsistencyPair:
         }
 
 
-def make_chronological_query(template: QueryTemplate, subject: str,
+def make_chronological_query(spec: RelationSpec, subject: str,
                              reference_event: str, direction: str) -> str:
     if direction not in kb.DIRECTIONS:
         raise SlotUnresolved(f"invalid direction {direction!r}")
@@ -95,7 +95,7 @@ def make_chronological_query(template: QueryTemplate, subject: str,
         raise SlotUnresolved("empty subject")
     if not reference_event.strip():
         raise SlotUnresolved("empty reference event")
-    return (template.pattern
+    return (spec.pattern
             .replace("<subject>", subject.strip())
             .replace("<direction>", f"right {direction}")
             .replace("<object>", reference_event.strip()))
@@ -228,7 +228,7 @@ def _build_instance(record: dict, instance_id: str, language: str) -> BenchmarkI
         id=instance_id,
         language=language,
         relation=relation,
-        entity_type=relation_entity_type(relation),
+        entity_type=relation_spec(relation).entity_type,
         direction=direction,
         query_absolute=query_absolute,
         query_chronological=query_chronological,

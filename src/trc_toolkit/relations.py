@@ -10,29 +10,16 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class QueryTemplate:
-    """Question pattern with <subject>, <object>, <direction> slots."""
-
+class RelationSpec:
     relation: str
-    pattern: str
-    expected_entity_type: str
+    phrase: str            # declarative verb phrase used in fact sentences
+    pattern: str           # question with <subject>, <object>, <direction> slots
+    entity_type: str
 
     def __post_init__(self):
         for slot in ("<subject>", "<object>", "<direction>"):
             if self.pattern.count(slot) != 1:
                 raise ValueError(f"pattern must contain {slot} exactly once")
-
-
-@dataclass(frozen=True)
-class RelationSpec:
-    relation: str
-    phrase: str            # declarative verb phrase used in fact sentences
-    pattern: str           # question template
-    entity_type: str
-
-    @property
-    def template(self) -> QueryTemplate:
-        return QueryTemplate(self.relation, self.pattern, self.entity_type)
 
 
 _SPECS = [
@@ -60,8 +47,6 @@ _SPECS = [
 
 RELATIONS: dict[str, RelationSpec] = {s.relation: s for s in _SPECS}
 
-ENTITY_TYPES = ("person", "team", "position", "school", "employer", "political party")
-
 
 def normalize_relation(relation: str) -> str:
     """Accept both "member of sports team" and "member_of_sports_team" forms."""
@@ -73,15 +58,3 @@ def normalize_relation(relation: str) -> str:
 
 def relation_spec(relation: str) -> RelationSpec:
     return RELATIONS[normalize_relation(relation)]
-
-
-def relation_phrase(relation: str) -> str:
-    return relation_spec(relation).phrase
-
-
-def relation_template(relation: str) -> QueryTemplate:
-    return relation_spec(relation).template
-
-
-def relation_entity_type(relation: str) -> str:
-    return relation_spec(relation).entity_type

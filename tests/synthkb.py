@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from trc_toolkit.kb import TemporalFact, TimePoint, Timeline
-from trc_toolkit.relations import RELATIONS, relation_template
+from trc_toolkit.relations import RELATIONS, relation_spec
 
 FIRST = ["Avery", "Blake", "Casey", "Devon", "Ellis", "Finley", "Harper",
          "Jordan", "Kendall", "Logan", "Morgan", "Noel", "Parker", "Quinn",
@@ -53,10 +53,10 @@ def make_records(timelines: list[Timeline]) -> list[dict]:
     """
     records = []
     for ti, timeline in enumerate(timelines):
-        template = relation_template(timeline.relation)
+        spec = relation_spec(timeline.relation)
         for fi, fact in enumerate(timeline.facts):
             for direction in ("before", "after"):
-                question = (template.pattern
+                question = (spec.pattern
                             .replace("<subject>", timeline.subject)
                             .replace("<direction>", direction)
                             .replace("<object>", fact.object))

@@ -247,3 +247,148 @@ class TestSubsample:
         dataset_ids = [r["id"] for r in read_jsonl(workspace / "data.jsonl")]
         positions = [dataset_ids.index(r["id"]) for r in rows]
         assert positions == sorted(positions)
+
+
+def _golden_responses(instances):
+    """Both arms per instance, mixing right, wrong and formatting-variant answers."""
+    responses = []
+    for k, inst in enumerate(instances):
+        gold = inst["answer"]
+        arms = {
+            "absolute": [gold, "The " + gold.upper(), "nobody", gold.split()[0]][k % 4],
+            "chronological": [gold, "The " + gold.upper(), "nobody"][k % 3],
+        }
+        for kind, answer in arms.items():
+            responses.append({"instance_id": inst["id"], "reference_kind": kind,
+                              "answer": answer, "raw_completion": answer})
+    return responses
+
+
+# sha256 of each output, and of each manifest without `timestamp` and
+# `output_paths`, for the command sequence in test_golden_digests.
+GOLDEN_DIGESTS = {
+    "data.jsonl":
+        "5f579f120e371ccc4f456b8c4c788b4a6733d0e67f1c596bac85b7716b4126c1",
+    "data.jsonl.manifest.json":
+        "5f7d5fdc9ba069170996813f58603b4d253005cae15e3947f0558f8d590b2212",
+    "data.jsonl.skips.jsonl":
+        "25a95099888f7c5674ec25730d23f3eb1fbb0a7e09fdb85e8f9f3ae6a275de11",
+    "eval.json":
+        "228c470fc7252def122bd663ecd23b24190fb21fb2f2bead148375a06e4a43c3",
+    "eval.json.manifest.json":
+        "1b926099e9ace04116aa5ade1e3e4d4512754d861f71b10bcfbc786a681a55df",
+    "eval_strict.json":
+        "1911cd692361835dd2e93d94ca4712b223cc0a0db6ed3669cc8c76d021e5bc89",
+    "eval_strict.json.manifest.json":
+        "b7455e46c5406d8c7be9aae11f4270b7c271e2b9e8a7f70b68b7e06802413319",
+    "final.json":
+        "104a05745bbeb4a6256b5765a1ba041068c361ffa9665a7e8073912273ac5059",
+    "final.json.manifest.json":
+        "8626564d17910ad7d5717afc1a698aa2f24a4b29cfd493399ef54d8e85d4dbd2",
+    "final.txt":
+        "10d67433102903c6ac55a26eee5af79f12c7bf68ea2d574a4207325793e484e2",
+    "final_cmp.json":
+        "00df7a227e0cb1170ee085b8242fb31c9cd489a9c415d66d2094adee3d4c408e",
+    "final_cmp.json.manifest.json":
+        "c319af6afd3bcb3e48259341d1e71b94b1dbb18235f50f10edc51a0d5b2b9ecb",
+    "final_cmp.txt":
+        "ee0fde09ac4a7a450e22e68417601adbb77b74dd7c2fff85570167e49b521c60",
+    "icl-absolute.jsonl":
+        "0303fcddeaecf18ac27698c3db7cc0f52e1f9f8e0d409cc81540b164001885f1",
+    "icl-absolute.jsonl.manifest.json":
+        "5426db3637eeca5b620a4ed33b430fb28bbfd2676ea7a51823f2c661eea5d6b3",
+    "icl-absolute.txt":
+        "9b135e8815b5ca2c5a6e152ffd22014639c3cbeff2730161533ea713bc8eda5f",
+    "icl-chronological.jsonl":
+        "1123e74ad176d74e08e5927a8d2468fd0964d8e246c056f82de23dfe800bfcf8",
+    "icl-chronological.jsonl.manifest.json":
+        "11c0818c02d56bd340fa19aa9c207b2ff4ec645710a306c6dccf55877b0a7f44",
+    "icl-chronological.txt":
+        "96b86698d077954f95ab03e775ce7f9a73122e4979c83f7bf6a12e9912cf5209",
+    "mt.json":
+        "64ec7af9334ecfc7fd90130e859f6ba8b6ee2e689900f2ec4ae4dc6f0ce7911b",
+    "mt.json.manifest.json":
+        "dab3173a7e3d23e73847d596d4b804dbb760846a1342afc557762e3f47d69467",
+    "pairs.jsonl":
+        "7af09a4e06116a8d1d4cb80cc22235fdfe3328a68ba69dcf39d9d9c2d9ed2583",
+    "pairs.jsonl.manifest.json":
+        "dea273af61f28fb1eb05093baaed1e03fc5d3e691f88835f5e9eaa73ad93e2f1",
+    "semantic-cot-absolute.jsonl":
+        "c19f0fcb921abf0b6d18e88b9ca0ba8fd85fc3eb7538e4f9c995d21fd6291e5e",
+    "semantic-cot-absolute.jsonl.manifest.json":
+        "526ac5b0a5ccae0567756779949ee00add9fc6fcf74ec47ead8da06dd50acb99",
+    "semantic-cot-absolute.txt":
+        "3e8950c1b876e1ff40ac08604cefef28fbf1e2b987a2cc29fde606a3d0912cdd",
+    "semantic-cot-chronological.jsonl":
+        "4d94c2ab0bcd1089ef75146ee7593d2b76d90efea29a3ccd446183f566045eb5",
+    "semantic-cot-chronological.jsonl.manifest.json":
+        "7bd87deb02cb22f83ef5ba34dcd013cf4d1372cd29a0aa154a361a79abbd6421",
+    "semantic-cot-chronological.txt":
+        "2275e8baa21c03309c9ff92fc4c4d513af921f1bee24dc11867ec86eafc36ea6",
+    "sft.jsonl":
+        "a65953287e615de0715d797ce0e28797b5a34869e09707a5e834159acd0aa5ae",
+    "sft.jsonl.manifest.json":
+        "486382d7b53363370d4505068b3ef6e8e9905ed2639590e0ff3f0c6454825f7c",
+    "sub.jsonl":
+        "da2937457c9663b685d237ba51e8c16452acf8031180b95708a24ac169458d78",
+    "sub.jsonl.manifest.json":
+        "3e6d9096e3e8a02aad4eac40dc27a68fe9001762adb7d3b1270dfb6eed440365",
+}
+
+
+def _manifest_digest(path):
+    manifest = json.loads(Path(path).read_text())
+    assert list(manifest) == ["command", "config_digest", "input_digests", "output_paths",
+                              "seed", "toolkit_version", "timestamp"]
+    del manifest["timestamp"], manifest["output_paths"]
+    return hashlib.sha256(json.dumps(manifest).encode("utf-8")).hexdigest()
+
+
+def test_golden_digests(tmp_path):
+    """Every command's outputs and manifests stay byte-identical run to run."""
+    write_jsonl(tmp_path / "source.jsonl", make_records(make_timelines(15, seed=21)))
+    data = tmp_path / "data.jsonl"
+    (tmp_path / "hyp.txt").write_text("the committee approved the report\nle chien bleu\n")
+    (tmp_path / "ref.txt").write_text("the committee approved a report\nle chien vert\n")
+    (tmp_path / "en.txt").write_text(
+        "the committee approved the report\nshe walked through the town\n")
+    (tmp_path / "fr.txt").write_text(
+        "le comité a approuvé le rapport\nelle a traversé la ville\n")
+    def run(*command):
+        result = trc(*command)
+        assert result.returncode == 0, (command[0], result.stderr)
+
+    run("build", tmp_path / "source.jsonl", "--output", data)
+    run("pairs", "--dataset", data, "--n", 6, "--seed", 3, "--output", tmp_path / "pairs.jsonl")
+    run("subsample", "--dataset", data, "--n", 7, "--seed", 2, "--output", tmp_path / "sub.jsonl")
+    run("export-sft", "--dataset", data, "--pairing", "cross", "--output", tmp_path / "sft.jsonl")
+    for style in ("icl", "semantic-cot"):
+        for reference in ("absolute", "chronological"):
+            run("prompt", "--dataset", data, "--style", style, "--shots", 2,
+                "--reference", reference, "--seed", 1,
+                "--output", tmp_path / f"{style}-{reference}.jsonl",
+                "--preview", tmp_path / f"{style}-{reference}.txt")
+    responses = tmp_path / "responses.jsonl"
+    write_jsonl(responses, _golden_responses(list(read_jsonl(data))))
+    run("evaluate", "--dataset", data, "--responses", responses,
+        "--output", tmp_path / "eval.json")
+    run("evaluate", "--dataset", data, "--responses", responses,
+        "--output", tmp_path / "eval_strict.json", "--strict")
+    run("report", "--report", tmp_path / "eval.json", "--dataset", data,
+        "--output", tmp_path / "final")
+    run("report", "--report", tmp_path / "eval.json", "--dataset", data,
+        "--compare", tmp_path / "eval_strict.json", "--output", tmp_path / "final_cmp")
+    run("mt-agree", "--hypothesis", tmp_path / "hyp.txt", "--reference", tmp_path / "ref.txt",
+        "--expected-lang", "en", "--profile", f"en={tmp_path / 'en.txt'}",
+        "--profile", f"fr={tmp_path / 'fr.txt'}", "--output", tmp_path / "mt.json")
+
+    inputs = {"source.jsonl", "responses.jsonl", "hyp.txt", "ref.txt", "en.txt", "fr.txt"}
+    observed = {}
+    for path in sorted(tmp_path.iterdir()):
+        if path.name in inputs:
+            continue
+        if path.name.endswith(".manifest.json"):
+            observed[path.name] = _manifest_digest(path)
+        else:
+            observed[path.name] = digest(path)
+    assert observed == GOLDEN_DIGESTS

@@ -243,3 +243,55 @@ class TestEvaluate:
         shuffled = pairs[:]
         random.Random(3).shuffle(shuffled)
         assert evaluate(synthetic_dataset, pairs) == evaluate(synthetic_dataset, shuffled)
+
+
+_ANSWER_FORMS = {
+    "gold": lambda gold: gold,
+    "variant": lambda gold: "The " + gold.upper() + ".",
+    "partial": lambda gold: gold.split()[0],
+    "wrong": lambda gold: "nobody",
+    "empty": lambda gold: "",
+}
+
+
+class TestSingleScoringRule:
+    """evaluate() and the standalone metrics are one rule, so they agree exactly."""
+
+    def test_six_pair_deviation(self, synthetic_dataset):
+        # 2/6 absolute hits and 1/6 chronological: 33.33 - 16.67 = 16.66, not
+        # the 16.67 the unrounded arm means would give
+        dataset = synthetic_dataset[:6]
+        pairs = [ResponsePair(inst.id, inst.answer if k < 2 else "nobody",
+                              inst.answer if k < 1 else "nobody")
+                 for k, inst in enumerate(dataset)]
+        golds = {inst.id: inst.answer for inst in dataset}
+        report = evaluate(dataset, pairs)
+        assert (report.em_atr, report.em_ctr) == (33.33, 16.67)
+        assert factual_deviation(pairs, golds, "em") == report.dev_em == 16.66
+        assert factual_deviation(pairs, golds, "f1") == report.dev_f1 == 16.66
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 59), st.sampled_from(sorted(_ANSWER_FORMS)),
+                              st.sampled_from(sorted(_ANSWER_FORMS))),
+                    min_size=1, max_size=24, unique_by=lambda row: row[0]),
+           st.booleans())
+    def test_evaluate_matches_standalone_metrics(self, synthetic_dataset, rows, strict):
+        dataset = synthetic_dataset[::3][:60]
+        pairs = [ResponsePair(dataset[i].id, _ANSWER_FORMS[a](dataset[i].answer),
+                              _ANSWER_FORMS[c](dataset[i].answer)) for i, a, c in rows]
+        golds = {inst.id: inst.answer for inst in dataset}
+        report = evaluate(dataset, pairs, strict=strict)
+        assert report.trc == referential_consistency(pairs, strict)
+        assert report.trcf == consistent_factuality(pairs, golds, strict)
+        assert report.dev_em == factual_deviation(pairs, golds, "em")
+        assert report.dev_f1 == factual_deviation(pairs, golds, "f1")
+        by_id = {inst.id: inst for inst in dataset}
+        for attr, rows_by_group in (("entity_type", report.per_entity),
+                                    ("language", report.per_language)):
+            groups: dict[str, list[ResponsePair]] = {}
+            for pair in pairs:
+                groups.setdefault(getattr(by_id[pair.instance_id], attr), []).append(pair)
+            assert rows_by_group == {
+                name: (referential_consistency(group, strict),
+                       consistent_factuality(group, golds, strict), len(group))
+                for name, group in groups.items()}

@@ -19,7 +19,8 @@ from trc_toolkit.querygen import (
     make_chronological_query,
     reference_span,
 )
-from trc_toolkit.relations import relation_template
+from trc_toolkit.relations import RELATIONS, RelationSpec, relation_spec
+from trc_toolkit.report import ENTITY_ORDER
 
 from conftest import (
     PELIKAN_CONTEXT,
@@ -43,16 +44,30 @@ SYNTH_AFTER_CONTEXT = (
 )
 
 
+class TestRelationSpec:
+    @pytest.mark.parametrize("pattern", [
+        "Which team did play for <direction> <object>?",
+        "Which team did <subject> play for <object>?",
+        "Which team did <subject> play for <direction> <direction> <object>?",
+    ])
+    def test_each_slot_exactly_once(self, pattern):
+        with pytest.raises(ValueError):
+            RelationSpec("r", "played for", pattern, "team")
+
+    def test_entity_order_covers_every_relation(self):
+        assert set(ENTITY_ORDER) == {spec.entity_type for spec in RELATIONS.values()}
+
+
 class TestMakeChronologicalQuery:
     def test_pelikan(self):
         query = make_chronological_query(
-            relation_template("employer"), "Jaroslav Pelikan",
+            relation_spec("employer"), "Jaroslav Pelikan",
             "Concordia Seminary", "before")
         assert query == PELIKAN_QUERY_CHRONOLOGICAL
 
     def test_brodrick(self):
         query = make_chronological_query(
-            relation_template("position_held"),
+            relation_spec("position_held"),
             "St John Brodrick, 1st Earl of Midleton",
             "Member of the 23rd Parliament of the United Kingdom", "before")
         assert query == ("Which position did St John Brodrick, 1st Earl of Midleton "
@@ -61,7 +76,7 @@ class TestMakeChronologicalQuery:
 
     def test_empty_reference_event(self):
         with pytest.raises(SlotUnresolved):
-            make_chronological_query(relation_template("employer"), "X", "  ", "before")
+            make_chronological_query(relation_spec("employer"), "X", "  ", "before")
 
 
 class TestMakeAbsoluteQuery:
