@@ -115,12 +115,16 @@ def prompt(dataset, pool, style_flag, shots, reference, seed, output, preview):
     """Render evaluation prompts for every instance in the dataset."""
     style = prompting.PromptStyle(STYLE_BY_FLAG[style_flag], shots)
     targets = _load_dataset(dataset)
-    pool_instances = _load_dataset(pool) if pool else targets
+    by_language: dict[str, list[BenchmarkInstance]] = {}
+    for inst in _load_dataset(pool) if pool else targets:
+        by_language.setdefault(inst.language, []).append(inst)
+    pools = {lang: prompting.DemoPool(items) for lang, items in by_language.items()}
+    no_pool = prompting.DemoPool([])
     rows = []
     for inst in targets:
         query = inst.query(reference)
-        candidates = [p for p in pool_instances
-                      if p.id != inst.id and p.language == inst.language]
+        # the same-language pool minus every entry with the target's id
+        candidates = pools.get(inst.language, no_pool).without(inst.id)
         demos = prompting.select_demonstrations(
             candidates, query, style, seed, reference_kind=reference)
         rows.append({

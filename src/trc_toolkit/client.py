@@ -191,12 +191,13 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
                       cache: ResponseCache,
                       style: PromptStyle = PromptStyle("icl"),
                       marker: str = DEFAULT_ANSWER_MARKER,
-                      seed: int = 0) -> list[CompletionRecord]:
+                      seed: int = 0, *,
+                      sleep=time.sleep) -> list[CompletionRecord]:
     """Fetch one completion per (instance_id, reference_kind, prompt).
 
     Cache hits skip the network entirely; failures that outlive the retry
     budget become error-marked records instead of aborting the batch. Output
-    order matches input order.
+    order matches input order. `sleep` waits out each retry backoff.
     """
     keys = [prompt_hash(config.model_name, p) for _, _, p in prompts]
     pending = [i for i, key in enumerate(keys) if cache.get(key) is None]
@@ -206,7 +207,7 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
 
     def fetch(index: int) -> tuple[int, _Attempt]:
         rng = random.Random(f"{seed}:{index}")
-        return index, _request_completion(prompts[index][2], config, session, rng)
+        return index, _request_completion(prompts[index][2], config, session, rng, sleep)
 
     if pending:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:

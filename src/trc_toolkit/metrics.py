@@ -8,6 +8,7 @@ Aggregates are percentages rounded half-even to two decimals.
 from __future__ import annotations
 
 import statistics
+import string
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -22,12 +23,12 @@ from .errors import (
 from .querygen import BenchmarkInstance
 
 _ARTICLES = {"a", "an", "the"}
-_PUNCT = set("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
+_PUNCT_TO_SPACE = str.maketrans(string.punctuation, " " * len(string.punctuation))
 
 
 def normalize_answer(text: str) -> list[str]:
     """Lowercase, strip punctuation, drop articles; returns tokens."""
-    cleaned = "".join(" " if ch in _PUNCT else ch for ch in text.lower())
+    cleaned = text.lower().translate(_PUNCT_TO_SPACE)
     return [t for t in cleaned.split() if t not in _ARTICLES]
 
 

@@ -104,6 +104,15 @@ class TestPrompt:
         assert rows and all("because" in r["prompt"] for r in rows)
         assert (workspace / "preview.txt").read_text().startswith("Question:")
 
+    @pytest.mark.parametrize("style", ["icl", "semantic-icl"])
+    def test_pool_too_small_exits_1(self, workspace, style):
+        rows = list(read_jsonl(workspace / "data.jsonl"))[:3]
+        write_jsonl(workspace / "three.jsonl", rows)
+        result = trc("prompt", "--dataset", workspace / "three.jsonl", "--style", style,
+                     "--shots", 3, "--output", workspace / f"small-{style}.jsonl")
+        assert result.returncode == 1
+        assert result.stderr == "error: pool of 2 cannot supply 3 shots\n"
+
     def test_zero_shot(self, workspace):
         result = trc("prompt", "--dataset", workspace / "data.jsonl",
                      "--style", "zero", "--shots", 0,
@@ -309,6 +318,14 @@ GOLDEN_DIGESTS = {
         "64ec7af9334ecfc7fd90130e859f6ba8b6ee2e689900f2ec4ae4dc6f0ce7911b",
     "mt.json.manifest.json":
         "dab3173a7e3d23e73847d596d4b804dbb760846a1342afc557762e3f47d69467",
+    "pool-icl.jsonl":
+        "10cb9a6f0fc82954ec21c98591cb9e28be99c4f5303ab23c054131b6d825f916",
+    "pool-icl.jsonl.manifest.json":
+        "8b1666aa06ffd397b0c61d37a105c38e9a9974427ec3bfe5327078f8223b3478",
+    "pool-semantic-icl.jsonl":
+        "7de3a23cb587956d9d8fb0b4c838f8cd60827fd2426d688a54080b5c6660e44a",
+    "pool-semantic-icl.jsonl.manifest.json":
+        "29319017fd4d9912da1e10c74d40f6fd0de5ebb8409366e0b524c521eed2d6d4",
     "pairs.jsonl":
         "7af09a4e06116a8d1d4cb80cc22235fdfe3328a68ba69dcf39d9d9c2d9ed2583",
     "pairs.jsonl.manifest.json":
@@ -368,6 +385,16 @@ def test_golden_digests(tmp_path):
                 "--reference", reference, "--seed", 1,
                 "--output", tmp_path / f"{style}-{reference}.jsonl",
                 "--preview", tmp_path / f"{style}-{reference}.txt")
+    # A separate pool: the dataset, a `fr` copy of some instances (same ids)
+    # and one duplicated row; the targets mix both languages.
+    rows = list(read_jsonl(data))
+    french = [dict(row, language="fr") for row in rows[:6]]
+    write_jsonl(tmp_path / "pool.jsonl", rows + french + [rows[2]])
+    write_jsonl(tmp_path / "mixed.jsonl", rows[:4] + french[:4])
+    for style in ("icl", "semantic-icl"):
+        run("prompt", "--dataset", tmp_path / "mixed.jsonl", "--pool", tmp_path / "pool.jsonl",
+            "--style", style, "--shots", 3, "--reference", "absolute", "--seed", 4,
+            "--output", tmp_path / f"pool-{style}.jsonl")
     responses = tmp_path / "responses.jsonl"
     write_jsonl(responses, _golden_responses(list(read_jsonl(data))))
     run("evaluate", "--dataset", data, "--responses", responses,
@@ -382,7 +409,8 @@ def test_golden_digests(tmp_path):
         "--expected-lang", "en", "--profile", f"en={tmp_path / 'en.txt'}",
         "--profile", f"fr={tmp_path / 'fr.txt'}", "--output", tmp_path / "mt.json")
 
-    inputs = {"source.jsonl", "responses.jsonl", "hyp.txt", "ref.txt", "en.txt", "fr.txt"}
+    inputs = {"source.jsonl", "responses.jsonl", "hyp.txt", "ref.txt", "en.txt", "fr.txt",
+              "pool.jsonl", "mixed.jsonl"}
     observed = {}
     for path in sorted(tmp_path.iterdir()):
         if path.name in inputs:

@@ -143,19 +143,24 @@ class TestCollectResponses:
     def test_retries_then_succeeds(self, endpoint, tmp_path):
         endpoint.status_script = [500, 429]
         cache = ResponseCache(tmp_path / "cache")
+        waits = []
         records = collect_responses(PROMPTS[:1], config_for(endpoint, parallelism=1),
-                                    cache)
+                                    cache, sleep=waits.append)
         assert records[0].error is None
         assert endpoint.requests == 3  # two failures plus the success
+        assert len(waits) == 2  # one backoff after each failure
 
     def test_exhausted_retries_become_error_records(self, endpoint, tmp_path):
         endpoint.status_script = [500] * 10
         cache = ResponseCache(tmp_path / "cache")
+        waits = []
         records = collect_responses(PROMPTS[:1],
                                     config_for(endpoint, parallelism=1, retry_limit=1),
-                                    cache)
+                                    cache, sleep=waits.append)
         assert records[0].error is not None
         assert records[0].answer == ""
+        assert endpoint.requests == 2
+        assert len(waits) == 1  # no backoff after the last attempt
 
     def test_auth_failure_is_fatal(self, endpoint, tmp_path):
         endpoint.status_script = [401]

@@ -43,6 +43,14 @@ class TestNormalizeAnswer:
         assert normalize_answer("The University of the Andes") == \
             ["university", "of", "andes"]
 
+    @given(st.text())
+    @settings(max_examples=300)
+    def test_translate_equals_per_character_join(self, text):
+        punct = set("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")   # the ASCII punctuation
+        cleaned = "".join(" " if ch in punct else ch for ch in text.lower())
+        expected = [t for t in cleaned.split() if t not in {"a", "an", "the"}]
+        assert normalize_answer(text) == expected
+
 
 class TestExactMatch:
     def test_case_insensitive(self):

@@ -1,13 +1,26 @@
-import pytest
+import math
+import random
+import re
+import tempfile
+from collections import Counter
+from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from trc_toolkit.cli import STYLE_BY_FLAG, main
 from trc_toolkit.errors import PairingViolation, PoolTooSmall
+from trc_toolkit.manifest import read_jsonl, write_jsonl
 from trc_toolkit.prompting import (
+    DemoPool,
     PromptStyle,
     export_sft,
     render_prompt,
     render_sft_record,
     select_demonstrations,
 )
+from trc_toolkit.querygen import BenchmarkInstance
 
 from conftest import PELIKAN_PATHWAY_EVENT, PELIKAN_PATHWAY_TIME
 
@@ -57,6 +70,129 @@ class TestSelectDemonstrations:
         demos = select_demonstrations(pool, "xyzzy unrelated gibberish", style, seed=0)
         # all scores zero: selection must fall back to pool order
         assert [d.id for d in demos] == [p.id for p in pool]
+
+
+# -- oracle: the per-target retrieval `trc prompt` has always meant, kept
+# here as a plain loop so that a faster implementation can be held to it.
+
+def _oracle_tokens(text):
+    return re.sub(r"[^\w\s]", " ", text.lower()).split()
+
+
+def _oracle_demos(pool, target, style, shots, reference, seed):
+    """Filter the pool, build IDF over the candidates, score them all, sort."""
+    candidates = [p for p in pool if p.id != target.id and p.language == target.language]
+    if len(candidates) < shots:
+        raise PoolTooSmall(f"pool of {len(candidates)} cannot supply {shots} shots")
+    if style.kind == "icl":
+        return random.Random(seed).sample(candidates, shots)
+    texts = [c.query(reference) for c in candidates]
+    n = len(texts)
+    df = Counter()
+    for text in texts:
+        df.update(set(_oracle_tokens(text)))
+    idf = {t: math.log((1 + n) / (1 + c)) + 1.0 for t, c in df.items()}
+
+    def vector(text):
+        return {t: c * idf.get(t, math.log(1 + n) + 1.0)
+                for t, c in Counter(_oracle_tokens(text)).items()}
+
+    def cosine(a, b):
+        if not a or not b:
+            return 0.0
+        dot = sum(v * b[t] for t, v in a.items() if t in b)
+        na = math.sqrt(sum(v * v for v in a.values()))
+        nb = math.sqrt(sum(v * v for v in b.values()))
+        return dot / (na * nb) if dot else 0.0
+
+    query = vector(target.query(reference))
+    order = sorted(range(n), key=lambda i: (-cosine(query, vector(texts[i])), i))
+    return [candidates[i] for i in order[:shots]]
+
+
+_WORDS = ["which", "did", "work", "for", "before", "after", "alpha", "beta",
+          "gamma", "x-ray", "o'neil", "1949", "Café", "delta,"]
+_UNKNOWN = ["zzyzx", "qwv", "nowhere?"]
+
+
+def _instance(ident, language, absolute, chronological, answer):
+    return BenchmarkInstance(
+        id=ident, language=language, relation="employer", entity_type="organization",
+        direction="before", query_absolute=" ".join(absolute),
+        query_chronological=" ".join(chronological), answer=answer,
+        pathway_time_oriented=f"because {answer} came first",
+        pathway_event_oriented=f"because {answer} came before",
+        fact_context="")
+
+
+def _instances(ids, words):
+    phrase = st.lists(st.sampled_from(words), max_size=6)
+    return st.builds(_instance, st.sampled_from(ids), st.sampled_from(["en", "fr"]),
+                     phrase, phrase, st.sampled_from(["Avery", "Blake", "Casey"]))
+
+
+@st.composite
+def _retrieval_cases(draw):
+    size = draw(st.integers(1, 30))
+    pool = draw(st.lists(_instances(list("abcdefgh"), _WORDS), min_size=size, max_size=size))
+    duplicates = draw(st.lists(st.sampled_from(pool), max_size=2))
+    pool += duplicates
+    absent = draw(st.lists(_instances(["new1", "new2"], _WORDS + _UNKNOWN), max_size=2))
+    unknown = draw(st.lists(_instances(list("abz"), _UNKNOWN), max_size=1))
+    targets = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    targets = draw(st.permutations(targets + absent + unknown))
+    return pool, targets
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("duplicated", [True, False])
+    def test_view_equals_filtered_list(self, pool, duplicated):
+        items = pool[:6] + [pool[1], pool[4]]   # pool[1] and pool[4] appear twice
+        skipped = pool[1].id if duplicated else "absent"
+        view = DemoPool(items).without(skipped)
+        expected = [p for p in items if p.id != skipped]
+        assert len(view) == len(expected)
+        assert list(view) == expected
+        assert [view[i] for i in range(len(view))] == expected
+        assert view[-1] == expected[-1]
+        with pytest.raises(IndexError):
+            view[len(view)]
+
+
+class TestRetrievalOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_retrieval_cases(), st.sampled_from(["icl", "semantic-icl", "semantic-cot"]),
+           st.integers(1, 5), st.sampled_from(["absolute", "chronological"]),
+           st.integers(0, 3))
+    def test_trc_prompt_matches_oracle(self, case, style_flag, shots, reference, seed):
+        pool, targets = case
+        style = PromptStyle(STYLE_BY_FLAG[style_flag], shots)
+        expected, error = [], None
+        for target in targets:
+            try:
+                demos = _oracle_demos(pool, target, style, shots, reference, seed)
+            except PoolTooSmall as exc:
+                error = str(exc)
+                break
+            query = target.query(reference)
+            expected.append(render_prompt(query, demos, style, reference))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_jsonl(tmp / "targets.jsonl", (t.to_dict() for t in targets))
+            write_jsonl(tmp / "pool.jsonl", (p.to_dict() for p in pool))
+            result = CliRunner().invoke(main, [
+                "prompt", "--dataset", str(tmp / "targets.jsonl"),
+                "--pool", str(tmp / "pool.jsonl"), "--style", style_flag,
+                "--shots", str(shots), "--reference", reference, "--seed", str(seed),
+                "--output", str(tmp / "prompts.jsonl")])
+            if error is not None:
+                assert isinstance(result.exception, PoolTooSmall)
+                assert str(result.exception) == error
+                return
+            assert result.exit_code == 0, result.output
+            rows = list(read_jsonl(tmp / "prompts.jsonl"))
+        assert [r["instance_id"] for r in rows] == [t.id for t in targets]
+        assert [r["prompt"] for r in rows] == expected
 
 
 class TestRenderPrompt:
