@@ -21,7 +21,10 @@ class MockEndpoint:
 
     def __init__(self):
         self.requests = 0
+        self.prompts = []  # prompt of every request, in arrival order
         self.status_script = []  # statuses to serve before succeeding
+        self.retry_after = None  # Retry-After header value sent with a 429
+        self.malformed = 0  # number of 200 replies to send without "choices"
         self.delay = 0.0
         self.in_flight = 0
         self.max_in_flight = 0
@@ -36,24 +39,29 @@ class MockEndpoint:
 
             def do_POST(self):
                 self._done = False
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                prompt = body["messages"][0]["content"]
                 with mock._lock:
                     mock.requests += 1
+                    mock.prompts.append(prompt)
                     mock.in_flight += 1
                     mock.max_in_flight = max(mock.max_in_flight, mock.in_flight)
                     status = mock.status_script.pop(0) if mock.status_script else 200
+                    malformed = status == 200 and mock.malformed > 0
+                    mock.malformed -= malformed
                 try:
                     if mock.delay:
                         time.sleep(mock.delay)
-                    body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                     if status != 200:
                         self._finish()
                         self.send_response(status)
+                        if status == 429 and mock.retry_after is not None:
+                            self.send_header("Retry-After", mock.retry_after)
                         self.end_headers()
                         return
-                    prompt = body["messages"][0]["content"]
-                    payload = json.dumps({
-                        "choices": [{"message": {"content": mock.reply(prompt)}}]
-                    }).encode()
+                    reply = {} if malformed else {
+                        "choices": [{"message": {"content": mock.reply(prompt)}}]}
+                    payload = json.dumps(reply).encode()
                     self.send_response(200)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(payload)))
@@ -73,7 +81,8 @@ class MockEndpoint:
                         mock.in_flight -= 1
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.01}, daemon=True)
         self.thread.start()
 
     @property
@@ -140,6 +149,18 @@ class TestCollectResponses:
         reloaded = ResponseCache(cache_dir)
         assert len(reloaded) == len(cache)
 
+    def test_append_after_truncated_tail_survives_reload(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        ResponseCache(cache_dir).put("ab01", {"prompt_hash": "ab01"})
+        with (cache_dir / "ab.jsonl").open("a") as fh:
+            fh.write('{"prompt_hash": "trunc')
+        ResponseCache(cache_dir).put("ab02", {"prompt_hash": "ab02"})
+        ResponseCache(cache_dir).put("ab03", {"prompt_hash": "ab03"})
+        reloaded = ResponseCache(cache_dir)
+        assert [reloaded.get(k) for k in ("ab01", "ab02", "ab03")] == \
+            [{"prompt_hash": k} for k in ("ab01", "ab02", "ab03")]
+        assert len(reloaded) == 3
+
     def test_retries_then_succeeds(self, endpoint, tmp_path):
         endpoint.status_script = [500, 429]
         cache = ResponseCache(tmp_path / "cache")
@@ -161,6 +182,66 @@ class TestCollectResponses:
         assert records[0].answer == ""
         assert endpoint.requests == 2
         assert len(waits) == 1  # no backoff after the last attempt
+
+    def test_backoff_does_not_hold_a_worker_slot(self, endpoint, tmp_path):
+        endpoint.status_script = [503]
+        cache = ResponseCache(tmp_path / "cache")
+        waits = []
+        records = collect_responses(PROMPTS, config_for(endpoint, parallelism=1),
+                                    cache, sleep=waits.append)
+        assert all(r.error is None for r in records)
+        # The failed first prompt is retried only after every fresh prompt,
+        # and the one wait is for its backoff once nothing else is left.
+        assert endpoint.prompts == [p for _, _, p in PROMPTS] + [PROMPTS[0][2]]
+        assert len(waits) == 1
+
+    def test_malformed_body_is_retried(self, endpoint, tmp_path):
+        endpoint.malformed = 1
+        cache = ResponseCache(tmp_path / "cache")
+        waits = []
+        records = collect_responses(PROMPTS[:1], config_for(endpoint, parallelism=1),
+                                    cache, sleep=waits.append)
+        assert records[0].error is None
+        assert records[0].answer == "echo: prompt 0"
+        assert endpoint.requests == 2
+        assert len(waits) == 1
+
+    def test_malformed_body_error_after_retries(self, endpoint, tmp_path):
+        endpoint.malformed = 10
+        cache = ResponseCache(tmp_path / "cache")
+        records = collect_responses(PROMPTS[:1],
+                                    config_for(endpoint, parallelism=1, retry_limit=1),
+                                    cache, sleep=lambda s: None)
+        assert records[0].error == "malformed response body: 'choices'"
+        assert endpoint.requests == 2
+
+    @pytest.mark.parametrize("retry_after, low, high", [
+        ("30", 29.0, 30.0),  # delta-seconds longer than the backoff wins
+        ("0", 0.4, 1.0),  # shorter than the backoff: the backoff wins
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.4, 1.0),  # HTTP-date: backoff
+        (None, 0.4, 1.0),  # no header: backoff
+    ])
+    def test_retry_after_on_429(self, endpoint, tmp_path, retry_after, low, high):
+        endpoint.status_script = [429]
+        endpoint.retry_after = retry_after
+        cache = ResponseCache(tmp_path / "cache")
+        waits = []
+        records = collect_responses(PROMPTS[:1], config_for(endpoint, parallelism=1),
+                                    cache, sleep=waits.append)
+        assert records[0].error is None
+        assert len(waits) == 1
+        # The first backoff is 0.5 * (1 + u) s with u in [0, 1).
+        assert low < waits[0] <= high
+
+    def test_auth_failure_stops_the_batch(self, endpoint, tmp_path):
+        endpoint.status_script = [401]
+        # Slow successes: the 401 is seen while the other slot's request runs.
+        endpoint.reply = lambda prompt: time.sleep(0.2) or "ok"
+        cache = ResponseCache(tmp_path / "cache")
+        many = [(f"p{k}", "absolute", f"prompt {k}") for k in range(20)]
+        with pytest.raises(AuthFailure):
+            collect_responses(many, config_for(endpoint, parallelism=2), cache)
+        assert endpoint.requests <= 2
 
     def test_auth_failure_is_fatal(self, endpoint, tmp_path):
         endpoint.status_script = [401]
