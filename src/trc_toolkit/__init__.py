@@ -22,8 +22,6 @@ from .querygen import (
     build_consistency_pairs,
     build_dataset,
     build_instance,
-    build_pathways,
-    make_absolute_query,
     make_chronological_query,
 )
 
@@ -31,8 +29,8 @@ __all__ = [
     "BenchmarkInstance", "ConsistencyPair", "EvalReport", "ResponsePair",
     "TemporalFact", "TimePoint", "Timeline",
     "build_consistency_pairs", "build_dataset", "build_instance",
-    "build_pathways", "consistent_factuality", "evaluate", "exact_match",
-    "factual_deviation", "make_absolute_query", "make_chronological_query",
+    "consistent_factuality", "evaluate", "exact_match",
+    "factual_deviation", "make_chronological_query",
     "neighbor_fact", "normalize_answer", "parse_fact_context",
     "parse_time_point", "pearson", "referential_consistency", "token_f1",
 ]

@@ -176,8 +176,11 @@ def collect(prompts_path, endpoint, model, output, cache_dir, style_flag,
 
 
 def _group_responses(rows) -> list[ResponsePair]:
+    """Pair each instance's two arms; a row with an error is no answer."""
     arms: dict[str, dict[str, str]] = {}
     for row in rows:
+        if row.get("error"):
+            continue
         arms.setdefault(row["instance_id"], {})[row["reference_kind"]] = row["answer"]
     pairs = []
     for instance_id, answers in arms.items():

@@ -17,13 +17,14 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import requests
 
 from .errors import AuthFailure
+from .manifest import JsonRecord
 from .prompting import PromptStyle
 
 PARALLELISM_CAP = 16
@@ -52,7 +53,7 @@ class EndpointConfig:
 
 
 @dataclass(frozen=True)
-class CompletionRecord:
+class CompletionRecord(JsonRecord):
     instance_id: str
     reference_kind: str
     prompt_hash: str
@@ -61,18 +62,6 @@ class CompletionRecord:
     model_name: str
     latency: float
     error: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "reference_kind": self.reference_kind,
-            "prompt_hash": self.prompt_hash,
-            "raw_completion": self.raw_completion,
-            "answer": self.answer,
-            "model_name": self.model_name,
-            "latency": self.latency,
-            "error": self.error,
-        }
 
 
 def prompt_hash(model_name: str, prompt: str) -> str:

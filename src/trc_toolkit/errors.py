@@ -48,14 +48,6 @@ class ReferenceEventNotFound(ToolkitError):
     pass
 
 
-class MissingToTime(ToolkitError):
-    pass
-
-
-class NeighborMismatch(ToolkitError):
-    pass
-
-
 class GoldAnswerMismatch(ToolkitError):
     pass
 

@@ -9,9 +9,28 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Iterator
+
+
+@cache  # `fields()` builds a new tuple per call; datasets convert record by record
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+class JsonRecord:
+    """Base for dataclasses stored as one JSON object, keys in field order."""
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in _field_names(type(self))}
+
+    @classmethod
+    def from_dict(cls, record: dict):
+        """Ignores extra keys; a missing field raises KeyError."""
+        return cls(**{name: record[name] for name in _field_names(cls)})
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:

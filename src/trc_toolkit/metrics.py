@@ -60,11 +60,6 @@ class ResponsePair:
     answer_absolute: str
     answer_chronological: str
 
-    def to_dict(self) -> dict:
-        return {"instance_id": self.instance_id,
-                "answer_absolute": self.answer_absolute,
-                "answer_chronological": self.answer_chronological}
-
 
 def _pct(x: float) -> float:
     return round(x, 2)

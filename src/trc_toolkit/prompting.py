@@ -15,6 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import PairingViolation, PoolTooSmall
+from .manifest import JsonRecord
 from .querygen import BenchmarkInstance
 
 STYLE_KINDS = ("zero_shot", "icl", "semantic_icl", "semantic_cot")
@@ -47,15 +48,11 @@ class PromptStyle:
 
 
 @dataclass(frozen=True)
-class SftRecord:
+class SftRecord(JsonRecord):
     instruction: str
     input: str
     output: str
     pairing: str
-
-    def to_dict(self) -> dict:
-        return {"instruction": self.instruction, "input": self.input,
-                "output": self.output, "pairing": self.pairing}
 
 
 _TOKEN_RX = re.compile(r"[^\w\s]")

@@ -12,31 +12,23 @@ import hashlib
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import kb
 from .errors import (
     GoldAnswerMismatch,
-    MissingToTime,
-    NeighborMismatch,
-    NoNeighbor,
     ReferenceEventNotFound,
     SampleTooLarge,
     SlotUnresolved,
     ToolkitError,
 )
-from .kb import AFTER, BEFORE, TemporalFact, Timeline, neighbor_fact, parse_fact_context
+from .kb import BEFORE, TemporalFact, neighbor_fact, parse_fact_context
+from .manifest import JsonRecord
 from .relations import RelationSpec, normalize_relation, relation_spec
-
-INSTANCE_FIELDS = (
-    "id", "language", "relation", "entity_type", "direction",
-    "query_absolute", "query_chronological", "answer",
-    "pathway_time_oriented", "pathway_event_oriented", "fact_context",
-)
 
 
 @dataclass(frozen=True)
-class BenchmarkInstance:
+class BenchmarkInstance(JsonRecord):
     id: str
     language: str
     relation: str
@@ -48,13 +40,6 @@ class BenchmarkInstance:
     pathway_time_oriented: str
     pathway_event_oriented: str
     fact_context: str
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in INSTANCE_FIELDS}
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "BenchmarkInstance":
-        return cls(**{name: record[name] for name in INSTANCE_FIELDS})
 
     def query(self, reference_kind: str) -> str:
         if reference_kind == "absolute":
@@ -72,19 +57,13 @@ class BenchmarkInstance:
 
 
 @dataclass(frozen=True)
-class ConsistencyPair:
+class ConsistencyPair(JsonRecord):
     query_a: str
     query_b: str
     label: bool
     # Source ids kept for auditing label soundness; not part of the pair itself.
     id_a: str = ""
     id_b: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "query_a": self.query_a, "query_b": self.query_b,
-            "label": self.label, "id_a": self.id_a, "id_b": self.id_b,
-        }
 
 
 def make_chronological_query(spec: RelationSpec, subject: str,
@@ -104,83 +83,35 @@ def make_chronological_query(spec: RelationSpec, subject: str,
 _DIRECTION_RX = re.compile(r"\b(right )?(before|after)\b")
 
 
+def _direction_match(query: str) -> re.Match:
+    m = _DIRECTION_RX.search(query)
+    if m is None:
+        raise SlotUnresolved(f"no before/after keyword in {query!r}")
+    return m
+
+
+def _reference_after(query: str, end: int) -> str:
+    """The reference span after the direction keyword, without the trailing '?'."""
+    reference = query[end:].strip()
+    if reference.endswith("?"):
+        reference = reference[:-1].strip()
+    if not reference:
+        raise SlotUnresolved(f"empty reference span in {query!r}")
+    return reference
+
+
 def split_reference(query: str) -> tuple[str, str, str]:
     """Split a query at its direction keyword.
 
     Returns (prefix ending at the keyword incl. trailing space, direction,
     reference span without the trailing '?').
     """
-    m = _DIRECTION_RX.search(query)
-    if m is None:
-        raise SlotUnresolved(f"no before/after keyword in {query!r}")
-    reference = query[m.end():].strip()
-    if reference.endswith("?"):
-        reference = reference[:-1].strip()
-    if not reference:
-        raise SlotUnresolved(f"empty reference span in {query!r}")
-    return query[: m.end()], m.group(2), reference
+    m = _direction_match(query)
+    return query[: m.end()], m.group(2), _reference_after(query, m.end())
 
 
 def reference_span(query: str) -> str:
     return split_reference(query)[2]
-
-
-def ensure_right_keyword(question: str) -> str:
-    """Prefix the direction keyword with "right" if it is not already there."""
-    m = _DIRECTION_RX.search(question)
-    if m is None:
-        raise SlotUnresolved(f"no before/after keyword in {question!r}")
-    if m.group(1):
-        return question
-    return question[: m.start()] + "right " + question[m.start():]
-
-
-def make_absolute_query(chronological_query: str, timeline: Timeline, direction: str) -> str:
-    """Swap the event reference for its boundary time ("January 1949")."""
-    prefix, found_direction, reference = split_reference(chronological_query)
-    if found_direction != direction:
-        raise SlotUnresolved(
-            f"query direction {found_direction!r} != requested {direction!r}")
-    idx = timeline.index_of_object(reference)
-    if idx is None:
-        raise ReferenceEventNotFound(f"reference event {reference!r} not in timeline")
-    anchor = timeline.facts[idx]
-    if direction == BEFORE:
-        time = anchor.start
-    else:
-        if anchor.end is None:
-            raise MissingToTime(f"anchor {anchor.object!r} is ongoing")
-        time = anchor.end
-    suffix = chronological_query[len(prefix):]
-    return prefix + suffix.replace(reference, time.format(), 1)
-
-
-def build_pathways(timeline: Timeline, anchor: TemporalFact,
-                   answer_fact: TemporalFact, direction: str) -> tuple[str, str]:
-    """The (time-oriented, event-oriented) rationale sentences, lowercased."""
-    idx = timeline.index_of_object(anchor.object)
-    if idx is None or timeline.facts[idx] != anchor:
-        raise NeighborMismatch("anchor fact not found in timeline")
-    try:
-        expected = neighbor_fact(timeline, idx, direction)
-    except NoNeighbor as exc:
-        raise NeighborMismatch(str(exc)) from exc
-    if expected != answer_fact:
-        raise NeighborMismatch(
-            f"answer fact {answer_fact.object!r} is not the {direction} neighbor of {anchor.object!r}")
-
-    if direction == BEFORE:
-        boundary = anchor.start
-    else:
-        if anchor.end is None:
-            raise MissingToTime(f"anchor {anchor.object!r} is ongoing")
-        boundary = anchor.end
-
-    def pathway(reference: str) -> str:
-        return (f"because {anchor.sentence()}, and right {direction} {reference}, "
-                f"{answer_fact.sentence(with_times=False)}.").lower()
-
-    return pathway(boundary.format()), pathway(anchor.object)
 
 
 def build_instance(record: dict, language: str = "en") -> BenchmarkInstance:
@@ -202,18 +133,33 @@ def _derive_id(record: dict) -> str:
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
 
 
+def _pathway(anchor: TemporalFact, direction: str, reference: str,
+             answer_fact: TemporalFact) -> str:
+    """One rationale sentence, lowercased: the anchor fact, then its neighbour."""
+    return (f"because {anchor.sentence()}, and right {direction} {reference}, "
+            f"{answer_fact.sentence(with_times=False)}.").lower()
+
+
 def _build_instance(record: dict, instance_id: str, language: str) -> BenchmarkInstance:
     relation = normalize_relation(record["relation"])
     subject = record["subject"].strip()
     timeline = parse_fact_context(record["fact_context"], subject, relation)
 
-    query_chronological = ensure_right_keyword(record["question"].strip())
-    _, direction, reference = split_reference(query_chronological)
+    # The chronological query always reads "right before/after <event>".
+    question = record["question"].strip()
+    m = _direction_match(question)
+    direction = m.group(2)
+    prefix = question[: m.start()] + ("" if m.group(1) else "right ") + m.group(0)
+    suffix = question[m.end():]
+    query_chronological = prefix + suffix
+    reference = _reference_after(query_chronological, len(prefix))
 
     anchor_idx = timeline.index_of_object(reference)
     if anchor_idx is None:
         raise ReferenceEventNotFound(f"reference event {reference!r} not in fact context")
     anchor = timeline.facts[anchor_idx]
+    # Raises NoNeighbor for an ongoing anchor with "after", so `anchor.end`
+    # below is set whenever the direction is "after".
     answer_fact = neighbor_fact(timeline, anchor_idx, direction)
 
     answer = str(record.get("answer") or answer_fact.object).strip()
@@ -221,20 +167,19 @@ def _build_instance(record: dict, instance_id: str, language: str) -> BenchmarkI
         raise GoldAnswerMismatch(
             f"gold answer {answer!r} does not match {direction} neighbor {answer_fact.object!r}")
 
-    query_absolute = make_absolute_query(query_chronological, timeline, direction)
-    pathway_time, pathway_event = build_pathways(timeline, anchor, answer_fact, direction)
-
+    # The absolute query swaps the event for its boundary time ("January 1949").
+    boundary = (anchor.start if direction == BEFORE else anchor.end).format()
     return BenchmarkInstance(
         id=instance_id,
         language=language,
         relation=relation,
         entity_type=relation_spec(relation).entity_type,
         direction=direction,
-        query_absolute=query_absolute,
+        query_absolute=prefix + suffix.replace(reference, boundary, 1),
         query_chronological=query_chronological,
         answer=answer,
-        pathway_time_oriented=pathway_time,
-        pathway_event_oriented=pathway_event,
+        pathway_time_oriented=_pathway(anchor, direction, boundary, answer_fact),
+        pathway_event_oriented=_pathway(anchor, direction, anchor.object, answer_fact),
         fact_context=" ".join(record["fact_context"].split()),
     )
 

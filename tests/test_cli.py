@@ -1,20 +1,27 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import trc_toolkit
 from trc_toolkit.manifest import read_jsonl, write_jsonl
 
 from synthkb import make_records, make_timelines
 from test_client import MockEndpoint
 
+# The `trc` child process imports the same package as the tests, installed or not.
+_PACKAGE_ROOT = str(Path(trc_toolkit.__file__).resolve().parents[1])
+_TRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
+
 
 def trc(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "trc_toolkit.cli", *map(str, args)],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=_TRC_ENV)
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +170,30 @@ class TestEvaluateAndReport:
         assert result.returncode == 0, result.stderr
         doc = json.loads((scored / "final_cmp.json").read_text())
         assert "baseline_trcf_vs_trcf" in doc["correlations"]
+
+    def test_errored_rows_are_not_scored(self, workspace):
+        # the first instance failed on both arms, the second on one; every
+        # other instance is answered correctly on both
+        instances = list(read_jsonl(workspace / "data.jsonl"))
+        responses = []
+        for k, inst in enumerate(instances):
+            for kind in ("absolute", "chronological"):
+                failed = k == 0 or (k == 1 and kind == "absolute")
+                answer = "" if failed else inst["answer"]
+                responses.append({
+                    "instance_id": inst["id"], "reference_kind": kind,
+                    "answer": answer, "raw_completion": answer,
+                    "error": "HTTP 503" if failed else None})
+        write_jsonl(workspace / "errored.jsonl", responses)
+        result = trc("evaluate", "--dataset", workspace / "data.jsonl",
+                     "--responses", workspace / "errored.jsonl",
+                     "--output", workspace / "eval_errored.json")
+        assert result.returncode == 0, result.stderr
+        report = json.loads((workspace / "eval_errored.json").read_text())
+        assert report["m"] == len(instances) - 2
+        assert report["em_atr"] == report["em_ctr"] == report["trcf"] == 100.0
+        assert result.stdout == (f"scored {len(instances) - 2} pairs -> "
+                                 f"{workspace / 'eval_errored.json'}\n")
 
 
 class TestCollect:

@@ -1,21 +1,20 @@
 import hashlib
 import json
+import random
+import re
 
 import pytest
 
 from trc_toolkit.errors import (
-    NeighborMismatch,
     ReferenceEventNotFound,
     SampleTooLarge,
     SlotUnresolved,
 )
-from trc_toolkit.kb import parse_fact_context
 from trc_toolkit.querygen import (
+    BenchmarkInstance,
     build_consistency_pairs,
     build_dataset,
     build_instance,
-    build_pathways,
-    make_absolute_query,
     make_chronological_query,
     reference_span,
 )
@@ -23,7 +22,6 @@ from trc_toolkit.relations import RELATIONS, RelationSpec, relation_spec
 from trc_toolkit.report import ENTITY_ORDER
 
 from conftest import (
-    PELIKAN_CONTEXT,
     PELIKAN_PATHWAY_EVENT,
     PELIKAN_PATHWAY_TIME,
     PELIKAN_QUERY_ABSOLUTE,
@@ -32,16 +30,23 @@ from conftest import (
 from synthkb import make_dataset, make_records, make_timelines
 
 
-@pytest.fixture
-def pelikan_timeline():
-    return parse_fact_context(PELIKAN_CONTEXT, "Jaroslav Pelikan", "employer")
-
-
 SYNTH_AFTER_CONTEXT = (
     "Avery Holt worked for Northfield Institute from April 1995 to June 1998. "
     "Avery Holt worked for Crescent Union from July 1998 to March 2001. "
     "Avery Holt worked for Summit College from April 2001 to May 2004."
 )
+
+
+@pytest.fixture
+def holt_record():
+    return {
+        "id": "holt-1",
+        "question": "Which employer did Avery Holt work for after Crescent Union?",
+        "subject": "Avery Holt",
+        "relation": "employer",
+        "fact_context": SYNTH_AFTER_CONTEXT,
+        "answer": "Summit College",
+    }
 
 
 class TestRelationSpec:
@@ -80,50 +85,54 @@ class TestMakeChronologicalQuery:
 
 
 class TestMakeAbsoluteQuery:
-    def test_pelikan(self, pelikan_timeline):
-        query = make_absolute_query(PELIKAN_QUERY_CHRONOLOGICAL, pelikan_timeline, "before")
-        assert query == PELIKAN_QUERY_ABSOLUTE
+    """The absolute query of a built instance: the event swapped for its boundary time."""
 
-    def test_after_uses_to_time(self):
+    def test_pelikan(self, pelikan_record):
+        # a question that already reads "right before" is not prefixed twice
+        record = dict(pelikan_record, question=PELIKAN_QUERY_CHRONOLOGICAL)
+        inst = build_instance(record)
+        assert inst.query_absolute == PELIKAN_QUERY_ABSOLUTE
+        assert inst.query_chronological == PELIKAN_QUERY_CHRONOLOGICAL
+
+    def test_after_uses_to_time(self, holt_record):
         # hand application of the from/to selection rule on a 3-fact timeline:
         # direction "after" anchored on Crescent Union picks its end, March 2001
-        timeline = parse_fact_context(SYNTH_AFTER_CONTEXT, "Avery Holt", "employer")
-        query = make_absolute_query(
-            "Which employer did Avery Holt work for right after Crescent Union?",
-            timeline, "after")
-        assert query == "Which employer did Avery Holt work for right after March 2001?"
+        inst = build_instance(holt_record)
+        assert inst.query_absolute == \
+            "Which employer did Avery Holt work for right after March 2001?"
+        assert inst.query_chronological == \
+            "Which employer did Avery Holt work for right after Crescent Union?"
 
-    def test_reference_event_not_found(self, pelikan_timeline):
-        with pytest.raises(ReferenceEventNotFound):
-            make_absolute_query(
-                "Which employer did Jaroslav Pelikan work for right before Yale?",
-                pelikan_timeline, "before")
+    def test_reference_event_not_found(self, pelikan_record):
+        record = dict(pelikan_record, question=(
+            "Which employer did Jaroslav Pelikan work for right before Yale?"))
+        with pytest.raises(ReferenceEventNotFound) as info:
+            build_instance(record)
+        assert info.value.instance_id == "pelikan-1"
 
 
 class TestBuildPathways:
-    def test_pelikan_table_strings(self, pelikan_timeline):
-        anchor = pelikan_timeline.facts[1]
-        answer = pelikan_timeline.facts[0]
-        time_oriented, event_oriented = build_pathways(
-            pelikan_timeline, anchor, answer, "before")
-        assert time_oriented == PELIKAN_PATHWAY_TIME
-        assert event_oriented == PELIKAN_PATHWAY_EVENT
+    """The two rationale sentences of a built instance."""
 
-    def test_after_direction_uses_anchor_end(self):
-        # hand application of the pathway rule on the middle fact, direction after
-        timeline = parse_fact_context(SYNTH_AFTER_CONTEXT, "Avery Holt", "employer")
-        time_oriented, event_oriented = build_pathways(
-            timeline, timeline.facts[1], timeline.facts[2], "after")
-        assert time_oriented == (
+    def test_pelikan_table_strings(self, pelikan_record):
+        inst = build_instance(pelikan_record)
+        assert inst.pathway_time_oriented == PELIKAN_PATHWAY_TIME
+        assert inst.pathway_event_oriented == PELIKAN_PATHWAY_EVENT
+
+    def test_after_direction_uses_anchor_end(self, holt_record):
+        # hand application of the pathway rule on the middle fact, direction
+        # after: the time-oriented pathway names the time the absolute query does
+        inst = build_instance(holt_record)
+        assert inst.pathway_time_oriented == (
             "because avery holt worked for crescent union from july 1998 to "
             "march 2001, and right after march 2001, avery holt worked for "
             "summit college.")
-        assert "right after crescent union" in event_oriented
-
-    def test_neighbor_mismatch(self, pelikan_timeline):
-        with pytest.raises(NeighborMismatch):
-            build_pathways(pelikan_timeline, pelikan_timeline.facts[0],
-                           pelikan_timeline.facts[1], "before")
+        assert inst.pathway_event_oriented == (
+            "because avery holt worked for crescent union from july 1998 to "
+            "march 2001, and right after crescent union, avery holt worked for "
+            "summit college.")
+        assert f"right after {reference_span(inst.query_absolute).lower()}," in \
+            inst.pathway_time_oriented
 
 
 class TestBuildInstance:
@@ -139,6 +148,13 @@ class TestBuildInstance:
 
     def test_deterministic(self, pelikan_record):
         assert build_instance(pelikan_record) == build_instance(pelikan_record)
+
+    def test_record_round_trip(self, pelikan_instance):
+        record = pelikan_instance.to_dict()
+        assert BenchmarkInstance.from_dict(dict(record, extra="ignored")) == pelikan_instance
+        del record["answer"]
+        with pytest.raises(KeyError):
+            BenchmarkInstance.from_dict(record)
 
     def test_earliest_anchor_skipped_in_batch(self, pelikan_record):
         record = dict(pelikan_record)
@@ -226,3 +242,67 @@ class TestSyntheticBatch:
         assert instances and skips
         reasons = {s["reason"].split(":")[0] for s in skips}
         assert reasons <= {"NoNeighbor"}
+
+
+def _perturbed_records(n_timelines: int, seed: int) -> list[dict]:
+    """synthkb records with every kind of unbuildable or irregular source mixed in.
+
+    Ongoing anchors come from synthkb itself; every eleventh record is left
+    as generated.
+    """
+    records = make_records(make_timelines(n_timelines, seed=seed))
+    rng = random.Random(seed)
+    for k, record in enumerate(records):
+        question = record["question"]
+        reference = reference_span(question)
+        kind = k % 11
+        if kind == 1 and "answer" in record:
+            record["answer"] = rng.choice(["Nobody", record["subject"]])
+        elif kind == 2:
+            record["question"] = question.replace(reference, "Yale University")
+        elif kind == 3:
+            record["question"] = re.sub(r"\b(before|after)\b",
+                                        lambda m: m.group(1).upper(), question)
+        elif kind == 4:
+            record["question"] = re.sub(r" (before|after)\b", "", question)
+        elif kind == 5:
+            record["question"] = question[:question.rindex(reference)].rstrip() + "?"
+        elif kind == 6:
+            record["question"] = re.sub(r"\b(before|after)\b", r"right \1", question)
+        elif kind == 7:
+            record["relation"] = "spouse"
+        elif kind == 8:
+            record["question"] = "  " + question.replace(reference, reference.lower()) + " "
+            if "answer" in record:
+                record["answer"] = record["answer"].lower()
+        elif kind == 9:
+            del record["id"]
+            record.pop("answer", None)
+        elif kind == 10:
+            del record["fact_context"]
+    return records
+
+
+# sha256 of the instances (one JSON line each, field order kept) and of the
+# skip log that build_dataset makes from _perturbed_records(60, seed=3).
+PERTURBED_BUILD_DIGESTS = {
+    "instances": "d93bffd1b499e6419120b556b2d984340c3a8d51941e1b4df77dd5cf70deebef",
+    "skips": "bdc327539e356803203c1cb0a088396369cce970a1f37fe1b7b96be97453e59b",
+}
+
+
+def test_perturbed_batch_golden():
+    instances, skips = build_dataset(_perturbed_records(60, seed=3))
+    reasons = [s["reason"] for s in skips]
+    assert {r.split(":")[0] for r in reasons} == {
+        "GoldAnswerMismatch", "ReferenceEventNotFound", "SlotUnresolved",
+        "NoNeighbor", "KeyError"}
+    assert any("ongoing" in r for r in reasons)
+    assert any("empty reference span" in r for r in reasons)
+    assert any("no before/after keyword" in r for r in reasons)
+    observed = {
+        "instances": "\n".join(json.dumps(i.to_dict()) for i in instances),
+        "skips": "\n".join(json.dumps(s) for s in skips),
+    }
+    observed = {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in observed.items()}
+    assert observed == PERTURBED_BUILD_DIGESTS
