@@ -164,8 +164,8 @@ def collect(prompts_path, endpoint, model, output, cache_dir, style_flag,
     style = prompting.PromptStyle(STYLE_BY_FLAG[style_flag])
     prompt_rows = list(read_jsonl(prompts_path))
     triples = [(r["instance_id"], r["reference_kind"], r["prompt"]) for r in prompt_rows]
-    cache = client_mod.ResponseCache(cache_dir)
-    records = client_mod.collect_responses(triples, config, cache, style=style, seed=seed)
+    with client_mod.ResponseCache(cache_dir) as cache:
+        records = client_mod.collect_responses(triples, config, cache, style=style, seed=seed)
     write_jsonl(output, (r.to_dict() for r in records))
     failures = sum(1 for r in records if r.error)
     _finish({"endpoint": endpoint, "model": model, "style": style.kind},

@@ -2,26 +2,32 @@
 
 Requests POST to {base_url}/chat/completions with the usual body
 (model/messages/temperature/max_tokens); the API key comes from the
-TRC_API_KEY environment variable.
+TRC_API_KEY environment variable. Each worker thread keeps one keep-alive
+connection for the length of a `collect_responses` call.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import heapq
+import http.client
 import json
 import os
 import random
 import re
+import select
+import ssl
 import threading
 import time
+import urllib.request
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
-
-import requests
+from typing import Optional, Sequence, TextIO
+from urllib.parse import unquote, urlsplit
 
 from .errors import AuthFailure
 from .manifest import JsonRecord
@@ -50,6 +56,9 @@ class EndpointConfig:
             raise ValueError(f"parallelism must be in [1, {PARALLELISM_CAP}]")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +96,11 @@ def extract_answer(raw_completion: str, style: PromptStyle,
 class ResponseCache:
     """Directory of JSONL shards keyed by prompt-hash prefix.
 
-    Writes are append-only and serialized through one lock, so a killed run
-    leaves at worst a truncated final line, which loading skips. The first
-    write to such a shard ends the fragment with a newline, so the record
-    written after it stays a line of its own.
+    Writes are append-only and serialized through one lock. Each shard stays
+    open for appending until `close()`, and each record goes out as one write
+    and a flush, so a killed run leaves at worst a truncated final line, which
+    loading skips. The first write to such a shard ends the fragment with a
+    newline, so the record written after it stays a line of its own.
     """
 
     def __init__(self, directory: str | Path):
@@ -99,6 +109,7 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
         self._unterminated: set[Path] = set()
+        self._handles: dict[Path, TextIO] = {}
         self._load()
 
     def _shard(self, key: str) -> Path:
@@ -124,12 +135,29 @@ class ResponseCache:
 
     def put(self, key: str, record: dict):
         shard = self._shard(key)
+        line = json.dumps(record, ensure_ascii=False) + "\n"
         with self._lock:
             self._entries[key] = record
-            lead = "\n" if shard in self._unterminated else ""
-            with shard.open("a", encoding="utf-8") as fh:
-                fh.write(lead + json.dumps(record, ensure_ascii=False) + "\n")
-            self._unterminated.discard(shard)
+            fh = self._handles.get(shard)
+            if fh is None:
+                fh = self._handles[shard] = shard.open("a", encoding="utf-8")
+            if shard in self._unterminated:
+                line = "\n" + line
+                self._unterminated.discard(shard)
+            fh.write(line)
+            fh.flush()
+
+    def close(self):
+        with self._lock:
+            for fh in self._handles.values():
+                fh.close()
+            self._handles.clear()
+
+    def __enter__(self) -> "ResponseCache":
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -157,32 +185,111 @@ def _retry_after(value: Optional[str]) -> float:
     return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
+class _Transport:
+    """Keep-alive connections to one endpoint, one per worker thread.
+
+    The endpoint is reached through the proxy that the environment names for
+    its scheme (HTTP_PROXY, HTTPS_PROXY) unless NO_PROXY matches its host:
+    an http:// URL as an absolute-form request to the proxy, an https:// URL
+    through a CONNECT tunnel. TLS uses `ssl.create_default_context()`.
+    Every connection is closed by `close()`.
+    """
+
+    def __init__(self, base_url: str, timeout: float):
+        url = urlsplit(base_url.rstrip("/") + "/chat/completions")
+        self.host = url.hostname
+        self.port = url.port or (443 if url.scheme == "https" else 80)
+        self.target = url.path
+        self.headers = {"Content-Type": "application/json"}
+        self._timeout = timeout
+        self._context = ssl.create_default_context() if url.scheme == "https" else None
+        self._proxy = None
+        self._tunnel_headers: dict[str, str] = {}
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            self._proxy = (proxy.hostname, proxy.port or 80)
+            auth = {}
+            if proxy.username:
+                credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+                token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+                auth["Proxy-Authorization"] = f"Basic {token}"
+            if self._context:
+                self._tunnel_headers = auth
+            else:
+                self.target = f"http://{url.netloc}{self.target}"
+                self.headers.update(auth)
+        self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def _open(self) -> http.client.HTTPConnection:
+        host, port = self._proxy or (self.host, self.port)
+        if self._context is None:
+            return http.client.HTTPConnection(host, port, timeout=self._timeout)
+        conn = http.client.HTTPSConnection(host, port, timeout=self._timeout,
+                                           context=self._context)
+        if self._proxy:
+            conn.set_tunnel(self.host, self.port, headers=self._tunnel_headers)
+        return conn
+
+    def connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, closed first if the server dropped it.
+
+        An idle keep-alive socket that polls readable has either been closed
+        by the server or holds bytes nobody asked for; either way it is not
+        reused, and the next request opens a fresh one.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._open()
+            self._connections.append(conn)
+        elif conn.sock is not None and _readable(conn.sock):
+            conn.close()
+        return conn
+
+    def close(self):
+        for conn in self._connections:
+            conn.close()
+
+
+def _readable(sock) -> bool:
+    """Whether a read from `sock` would return at once."""
+    if not hasattr(select, "poll"):  # Windows, where select() takes any socket
+        return bool(select.select([sock], [], [], 0)[0])
+    poller = select.poll()  # unlike select(), not limited to descriptors below 1024
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 def _request_completion(prompt: str, config: EndpointConfig,
-                        session: requests.Session) -> _Attempt:
-    url = config.base_url.rstrip("/") + "/chat/completions"
-    headers = {"Content-Type": "application/json"}
+                        transport: _Transport) -> _Attempt:
+    headers = dict(transport.headers)
     api_key = os.environ.get(API_KEY_ENV)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    body = {
+    body = json.dumps({
         "model": config.model_name,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": config.temperature,
         "max_tokens": config.max_new_tokens,
-    }
+    }).encode("utf-8")
     started = time.monotonic()
+    conn = transport.connection()
     try:
-        resp = session.post(url, json=body, headers=headers, timeout=config.timeout)
-    except requests.RequestException as exc:
-        return _Attempt(error=f"request failed: {exc}")
-    if resp.status_code in (401, 403):
-        raise AuthFailure(f"endpoint returned {resp.status_code}")
-    if resp.status_code != 200:
-        retry_after = _retry_after(resp.headers.get("Retry-After")) \
-            if resp.status_code == 429 else 0.0
-        return _Attempt(error=f"HTTP {resp.status_code}", retry_after=retry_after)
+        conn.request("POST", transport.target, body, headers)
+        resp = conn.getresponse()
+        payload = resp.read()
+    except (OSError, http.client.HTTPException) as exc:
+        conn.close()
+        return _Attempt(error=f"request failed: {type(exc).__name__}: {exc}")
+    if resp.status in (401, 403):
+        raise AuthFailure(f"endpoint returned {resp.status}")
+    if resp.status != 200:
+        retry_after = _retry_after(resp.getheader("Retry-After")) \
+            if resp.status == 429 else 0.0
+        return _Attempt(error=f"HTTP {resp.status}", retry_after=retry_after)
     try:
-        content = resp.json()["choices"][0]["message"]["content"]
+        content = json.loads(payload)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         return _Attempt(error=f"malformed response body: {exc}")
     return _Attempt(raw=content, latency=time.monotonic() - started)
@@ -208,16 +315,17 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
     errors: dict[int, str] = {}
 
     if pending:
-        session = requests.Session()
         fresh = deque(pending)
         retries: list[tuple[float, int]] = []  # heap of (deadline, index)
         tries: dict[int, int] = {}  # failed attempts so far, per index
         rngs: dict[int, random.Random] = {}
         running: dict[Future, int] = {}
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+        # The pool exits first: its threads are done before their connections close.
+        with closing(_Transport(config.base_url, config.timeout)) as transport, \
+                ThreadPoolExecutor(max_workers=config.parallelism) as pool:
             def submit(index: int):
                 running[pool.submit(_request_completion, prompts[index][2],
-                                    config, session)] = index
+                                    config, transport)] = index
 
             while fresh or retries or running:
                 while len(running) < config.parallelism:

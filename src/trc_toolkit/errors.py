@@ -34,6 +34,10 @@ class SubjectMismatch(ToolkitError):
     pass
 
 
+class InvertedInterval(ToolkitError):
+    pass
+
+
 class NoNeighbor(ToolkitError):
     pass
 

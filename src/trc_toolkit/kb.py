@@ -16,6 +16,7 @@ from typing import Optional
 
 from .errors import (
     EmptyContext,
+    InvertedInterval,
     MalformedTimeExpression,
     NoNeighbor,
     SubjectMismatch,
@@ -174,6 +175,9 @@ def parse_fact_context(text: str, subject: str, relation: str) -> Timeline:
             )
         start = parse_time_point(m.group(1))
         end = parse_time_point(m.group(2)) if m.group(2) else None
+        if end is not None and end < start:
+            raise InvertedInterval(
+                f"sentence {i}: ends {end.format()}, before it starts {start.format()}")
         facts.append(TemporalFact(subject, relation, obj.strip(), start, end))
     return Timeline.from_facts(subject, relation, facts)
 

@@ -210,8 +210,8 @@ def build_consistency_pairs(instances: list[BenchmarkInstance], n: int,
         raise ValueError("n must be non-negative")
     if n > len(instances):
         raise SampleTooLarge(f"asked for {n} of {len(instances)} instances")
-    if n > 0 and len(instances) < 2:
-        raise SampleTooLarge("antagonist pairs need at least two instances")
+    if n > 0 and len({inst.id for inst in instances}) < 2:
+        raise SampleTooLarge("antagonist pairs need at least two distinct instance ids")
     rng = random.Random(seed)
     sampled = rng.sample(instances, n)
     pairs: list[ConsistencyPair] = []

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, ProfileMissing
@@ -133,6 +134,10 @@ class LanguageProfile:
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"trigram frequencies sum to {total}, expected 1")
 
+    @cached_property
+    def norm(self) -> float:
+        return math.sqrt(sum(f * f for f in self.trigram_frequencies.values()))
+
     @classmethod
     def from_corpus(cls, language: str, texts: Iterable[str]) -> "LanguageProfile":
         counts: Counter = Counter()
@@ -155,8 +160,7 @@ def _profile_cosine(counts: Counter, profile: LanguageProfile) -> float:
     if dot == 0:
         return 0.0
     na = math.sqrt(sum(c * c for c in counts.values()))
-    nb = math.sqrt(sum(f * f for f in freqs.values()))
-    return dot / (na * nb)
+    return dot / (na * profile.norm)
 
 
 def detect_language(text: str, profiles: Sequence[LanguageProfile]) -> str:

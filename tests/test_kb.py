@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from trc_toolkit.errors import (
     EmptyContext,
+    InvertedInterval,
     MalformedTimeExpression,
     NoNeighbor,
     SubjectMismatch,
@@ -93,6 +94,11 @@ class TestParseFactContext:
         with pytest.raises(UnparsableSentence) as exc:
             parse_fact_context(text, "A B", "employer")
         assert exc.value.index == 1
+
+    def test_inverted_interval(self):
+        with pytest.raises(InvertedInterval):
+            parse_fact_context("A B worked for C Corp from January 1950 to January 1940.",
+                               "A B", "employer")
 
     def test_unsorted_input_gets_sorted(self):
         text = ("A B worked for Later Corp from March 1996 to May 1999. "

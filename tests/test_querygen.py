@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import random
 import re
+import threading
 
 import pytest
 
@@ -235,6 +237,22 @@ class TestConsistencyPairs:
         with pytest.raises(SampleTooLarge):
             build_consistency_pairs(synthetic_dataset, len(synthetic_dataset) + 1, seed=0)
 
+    def test_one_distinct_id_raises_instead_of_hanging(self, synthetic_dataset):
+        same = [dataclasses.replace(inst, id="same") for inst in synthetic_dataset[:5]]
+        raised = []
+
+        def pair():
+            try:
+                build_consistency_pairs(same, 1, 0)
+            except SampleTooLarge as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=pair, daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive(), "no antagonist can be drawn from one id"
+        assert len(raised) == 1
+
 
 class TestSyntheticBatch:
     def test_boundary_records_are_skipped_not_errored(self):
@@ -242,6 +260,15 @@ class TestSyntheticBatch:
         assert instances and skips
         reasons = {s["reason"].split(":")[0] for s in skips}
         assert reasons <= {"NoNeighbor"}
+
+    def test_inverted_interval_is_skipped_not_fatal(self, pelikan_record):
+        inverted = dict(pelikan_record, id="inverted", fact_context=(
+            "Jaroslav Pelikan worked for Valparaiso University from January 1950 to January 1940. "
+            "Jaroslav Pelikan worked for Concordia Seminary from January 1949 to January 1953."))
+        instances, skips = build_dataset([pelikan_record, inverted])
+        assert [inst.id for inst in instances] == ["pelikan-1"]
+        assert [s["id"] for s in skips] == ["inverted"]
+        assert skips[0]["reason"].startswith("InvertedInterval: sentence 0:")
 
 
 def _perturbed_records(n_timelines: int, seed: int) -> list[dict]:

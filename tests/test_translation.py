@@ -7,6 +7,8 @@ from trc_toolkit.errors import ProfileMissing
 from trc_toolkit.translation import (
     ChrfConfig,
     LanguageProfile,
+    _profile_cosine,
+    _trigrams,
     bleu_n,
     chrf_pp,
     detect_language,
@@ -201,3 +203,37 @@ class TestTranslationSuccessRate:
     def test_profile_frequencies_validated(self):
         with pytest.raises(ValueError):
             LanguageProfile("xx", {"abc": 0.4, "bcd": 0.4})
+
+
+# --- language detection before each profile's norm was cached ---
+
+def _reference_profile_cosine(counts, profile):
+    freqs = profile.trigram_frequencies
+    dot = sum(c * freqs.get(t, 0.0) for t, c in counts.items())
+    if dot == 0:
+        return 0.0
+    na = math.sqrt(sum(c * c for c in counts.values()))
+    nb = math.sqrt(sum(f * f for f in freqs.values()))
+    return dot / (na * nb)
+
+
+def _reference_detect_language(text, profiles):
+    counts = _trigrams(text)
+    return max(profiles, key=lambda p: _reference_profile_cosine(counts, p)).language
+
+
+_SENTENCES = st.lists(st.text(alphabet="abcdeéfgh ", min_size=1, max_size=30).filter(str.strip),
+                      min_size=1, max_size=4)
+
+
+class TestProfileNormOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_SENTENCES, min_size=2, max_size=4), st.lists(st.text(max_size=40), max_size=5))
+    def test_matches_uncached_norm(self, corpora, texts):
+        profiles = [LanguageProfile.from_corpus(f"l{k}", corpus)
+                    for k, corpus in enumerate(corpora)]
+        for text in texts:
+            counts = _trigrams(text)
+            assert [_profile_cosine(counts, p) for p in profiles] == \
+                [_reference_profile_cosine(counts, p) for p in profiles]
+            assert detect_language(text, profiles) == _reference_detect_language(text, profiles)
