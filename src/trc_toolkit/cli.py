@@ -13,7 +13,7 @@ import click
 
 from . import client as client_mod
 from . import prompting, querygen, translation
-from .errors import ToolkitError
+from .errors import DuplicateResponse, ToolkitError
 from .manifest import read_jsonl, write_json, write_jsonl, write_manifest
 from .metrics import EvalReport, ResponsePair, evaluate
 from .querygen import BenchmarkInstance
@@ -176,9 +176,18 @@ def collect(prompts_path, endpoint, model, output, cache_dir, style_flag,
 
 
 def _group_responses(rows) -> list[ResponsePair]:
-    """Pair each instance's two arms; a row with an error is no answer."""
+    """Pair each instance's two arms; a row with an error is no answer.
+
+    A second row for one (instance id, reference kind) is rejected, since
+    nothing tells which of the two to score.
+    """
+    seen: set[tuple[str, str]] = set()
     arms: dict[str, dict[str, str]] = {}
     for row in rows:
+        key = (row["instance_id"], row["reference_kind"])
+        if key in seen:
+            raise DuplicateResponse(f"second {key[1]} response for instance {key[0]!r}")
+        seen.add(key)
         if row.get("error"):
             continue
         arms.setdefault(row["instance_id"], {})[row["reference_kind"]] = row["answer"]

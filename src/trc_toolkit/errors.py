@@ -60,6 +60,12 @@ class SampleTooLarge(ToolkitError):
     pass
 
 
+class DuplicateInstanceId(ToolkitError):
+    def __init__(self, instance_id: str):
+        self.instance_id = instance_id
+        super().__init__(f"instance id {instance_id!r} is already built")
+
+
 # --- prompting / SFT export ---
 
 class PoolTooSmall(ToolkitError):
@@ -89,6 +95,10 @@ class ZeroVariance(ToolkitError):
 
 
 class UnknownInstanceId(ToolkitError):
+    pass
+
+
+class DuplicateResponse(ToolkitError):
     pass
 
 

@@ -7,6 +7,7 @@ similarity over bag-of-words vectors: deterministic and dependency-free.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 import re
@@ -62,6 +63,12 @@ def _tokens(text: str) -> list[str]:
     return _TOKEN_RX.sub(" ", text.lower()).split()
 
 
+# Relative widening of the screen's bounds. It covers the rounding of the
+# screen's sums and ratios (a few ulps per summed term), with room for
+# documents and queries of up to ~10^6 terms.
+_SLACK = 1e-9
+
+
 class IdfIndex:
     """Term statistics of one pool of texts, each tokenised once.
 
@@ -76,10 +83,14 @@ class IdfIndex:
         self.docs = docs
         self.n_docs = len(docs)
         self.df: Counter = Counter()
-        for doc in docs:
+        self.postings: dict[str, list[tuple[int, int]]] = {}   # term -> (pos, count)
+        for pos, doc in enumerate(docs):
             self.df.update(doc.keys())
+            for term, count in doc.items():
+                self.postings.setdefault(term, []).append((pos, count))
         self._weights: dict[tuple[int, int], float] = {}   # (n, df) -> idf
-        self._tables: dict[int, dict[str, float]] = {}     # n -> idf of every term
+        # n -> (idf of every term, each document's norm under it)
+        self._bases: dict[int, tuple[dict[str, float], list[float]]] = {}
 
     @classmethod
     def build(cls, texts: Sequence[str]) -> "IdfIndex":
@@ -94,18 +105,18 @@ class IdfIndex:
     def _df(self, term: str, skip: Sequence[int]) -> int:
         return self.df[term] - sum(term in self.docs[pos] for pos in skip)
 
-    def _table(self, skip: Sequence[int]) -> dict[str, float]:
-        """IDF of every term over the documents not in `skip`."""
-        n = self.n_docs - len(skip)
-        if n not in self._tables:
-            self._tables[n] = {t: self._weight(n, c) for t, c in self.df.items()}
-        table = self._tables[n]
-        if skip:
-            table = dict(table)
-            for pos in skip:
-                for term in self.docs[pos]:
-                    table[term] = self._weight(n, self._df(term, skip))
-        return table
+    def _base(self, n: int) -> tuple[dict[str, float], list[float]]:
+        """IDF over n documents with nothing skipped, and every norm under it.
+
+        A df above n belongs to a term of some skipped document, whose weight
+        the caller replaces; capping it keeps every base weight >= 1.
+        """
+        if n not in self._bases:
+            table = {t: self._weight(n, min(c, n)) for t, c in self.df.items()}
+            norms = [math.sqrt(sum([v * v for v in [c * table[t] for t, c in doc.items()]]))
+                     for doc in self.docs]
+            self._bases[n] = table, norms
+        return self._bases[n]
 
     def vector(self, text: str, skip: Sequence[int] = ()) -> dict[str, float]:
         n = self.n_docs - len(skip)
@@ -117,24 +128,56 @@ class IdfIndex:
 
         Documents at the positions in `skip` are left out of the ranking and
         of the IDF; ties go to the earlier position.
+
+        A screen scores every document that shares a term with the query
+        against its cached norm under the base table of n = n_docs -
+        len(skip). Only the skipped documents' terms change weight, each by a
+        ratio >= 1, so a document's exact norm lies within [1, widest] times
+        its base norm. Every document whose upper bound reaches the k-th
+        largest lower bound is rescored with the exact arithmetic of a full
+        scan (dot summed in query order, norm in document order), so the
+        result does not depend on how the screen's sums round.
         """
         qvec = self.vector(query, skip)
-        weights = self._table(skip)
-        left_out = set(skip)
-        na = math.sqrt(sum(v * v for v in qvec.values()))
+        n = self.n_docs - len(skip)
+        base, norms = self._base(n)
+        overlay: dict[str, float] = {}   # skipped documents' terms -> idf
+        widest = 1.0
+        for pos in skip:
+            for term in self.docs[pos]:
+                if term not in overlay:
+                    df = self._df(term, skip)
+                    overlay[term] = self._weight(n, df)
+                    if df:   # some remaining document holds the term
+                        widest = max(widest, overlay[term] / base[term])
         # query terms that some document has, in query order, with their IDF
-        shared = [(t, v, weights[t]) for t, v in qvec.items() if t in weights]
+        shared = [(t, v, overlay.get(t, base[t])) for t, v in qvec.items() if t in base]
+        dots = [0.0] * self.n_docs
+        for t, v, w in shared:
+            vw = v * w
+            for pos, c in self.postings[t]:
+                dots[pos] += vw * c
+        for pos in skip:
+            dots[pos] = 0.0
+        # dot over base norm: the cosine's upper bound, up to the factor 1/na
+        screen = {pos: dot / norms[pos] for pos, dot in enumerate(dots) if dot}
+        cut = 0.0
+        if 0 < k <= len(screen):
+            cut = heapq.nlargest(k, screen.values())[-1] * (1 - _SLACK) / ((1 + _SLACK) * widest)
+        na = math.sqrt(sum(v * v for v in qvec.values()))
         scored = []
-        for pos, doc in enumerate(self.docs):
-            if pos in left_out:
-                continue
-            dot = sum([v * (doc[t] * w) for t, v, w in shared if t in doc])
-            if dot:
-                nb = math.sqrt(sum([v * v for v in [c * weights[t] for t, c in doc.items()]]))
+        for pos, screened in screen.items():
+            if screened >= cut:
+                doc = self.docs[pos]
+                dot = sum([v * (doc[t] * w) for t, v, w in shared if t in doc])
+                nb = math.sqrt(sum([v * v for v in [c * overlay.get(t, base[t])
+                                                    for t, c in doc.items()]]))
                 scored.append((-(dot / (na * nb)), pos))
-            else:
-                scored.append((-0.0, pos))
-        return [pos for _, pos in heapq.nsmallest(k, scored)]
+        top = [pos for _, pos in heapq.nsmallest(k, scored)]
+        # fewer than k documents share a term: the rest score 0, in pool order
+        left_out = set(skip)
+        zeros = (pos for pos in range(self.n_docs) if pos not in screen and pos not in left_out)
+        return top + list(itertools.islice(zeros, max(0, k - len(top))))
 
 
 class DemoPool:

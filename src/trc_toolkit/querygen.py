@@ -16,6 +16,7 @@ from typing import Iterable
 
 from . import kb
 from .errors import (
+    DuplicateInstanceId,
     GoldAnswerMismatch,
     ReferenceEventNotFound,
     SampleTooLarge,
@@ -188,18 +189,27 @@ def build_dataset(records: Iterable[dict], language: str = "en",
                   ) -> tuple[list[BenchmarkInstance], list[dict]]:
     """Build every record, skipping (not failing) the unbuildable ones.
 
+    A record whose id an earlier record already built is skipped too, so
+    every instance id in the output is unique.
+
     Returns (instances in source order, skip log entries {id, reason}).
     """
     instances: list[BenchmarkInstance] = []
     skips: list[dict] = []
+    built: set[str] = set()
     for record in records:
         try:
-            instances.append(build_instance(record, language=language))
+            instance = build_instance(record, language=language)
+            if instance.id in built:
+                raise DuplicateInstanceId(instance.id)
         except (ToolkitError, KeyError) as exc:
             skips.append({
                 "id": getattr(exc, "instance_id", str(record.get("id", ""))),
                 "reason": f"{type(exc).__name__}: {exc}",
             })
+            continue
+        built.add(instance.id)
+        instances.append(instance)
     return instances, skips
 
 

@@ -17,17 +17,21 @@ def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-def _char_ngrams(text: str, order: int) -> Counter:
-    chars = _normalize_ws(text).replace(" ", "")
-    return Counter(chars[i:i + order] for i in range(len(chars) - order + 1))
-
-
-def _word_ngrams(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
+def _ngrams(seq: str | tuple[str, ...], order: int) -> Counter:
+    """Counts of the order-grams of a string (substrings) or token tuple (tuples)."""
+    return Counter([seq[i:i + order] for i in range(len(seq) - order + 1)])
 
 
 def _overlap(hyp: Counter, ref: Counter) -> int:
-    return sum((hyp & ref).values())
+    """Clipped matches: the smaller count of every n-gram both sides have."""
+    if len(ref) < len(hyp):
+        hyp, ref = ref, hyp
+    matched = 0
+    for gram, count in hyp.items():
+        other = ref.get(gram)
+        if other:
+            matched += count if count < other else other
+    return matched
 
 
 @dataclass(frozen=True)
@@ -59,24 +63,21 @@ def chrf_pp(hypothesis: str, reference: str, config: ChrfConfig = ChrfConfig()) 
     if not hypothesis or not reference:
         return 0.0
 
-    hyp_tokens = hypothesis.split()
-    ref_tokens = reference.split()
+    # character n-grams ignore spaces; word n-grams are over the tokens
+    sides = [(hypothesis.replace(" ", ""), reference.replace(" ", ""), config.char_ngram_max),
+             (tuple(hypothesis.split()), tuple(reference.split()), config.word_ngram_max)]
     scores = []
-    grams: list[tuple[Counter, Counter]] = []
-    for order in range(1, config.char_ngram_max + 1):
-        grams.append((_char_ngrams(hypothesis, order), _char_ngrams(reference, order)))
-    for order in range(1, config.word_ngram_max + 1):
-        grams.append((_word_ngrams(hyp_tokens, order), _word_ngrams(ref_tokens, order)))
-    for hyp_counts, ref_counts in grams:
-        total_hyp = sum(hyp_counts.values())
-        total_ref = sum(ref_counts.values())
-        if total_hyp == 0 and total_ref == 0:
-            continue  # order longer than both strings
-        if total_hyp == 0 or total_ref == 0:
-            scores.append(0.0)
-            continue
-        common = _overlap(hyp_counts, ref_counts)
-        scores.append(_fbeta(common / total_hyp, common / total_ref, config.beta))
+    for hyp, ref, max_order in sides:
+        for order in range(1, max_order + 1):
+            total_hyp = max(0, len(hyp) - order + 1)
+            total_ref = max(0, len(ref) - order + 1)
+            if total_hyp == 0 and total_ref == 0:
+                continue  # order longer than both strings
+            if total_hyp == 0 or total_ref == 0:
+                scores.append(0.0)
+                continue
+            common = _overlap(_ngrams(hyp, order), _ngrams(ref, order))
+            scores.append(_fbeta(common / total_hyp, common / total_ref, config.beta))
     if not scores:
         return 0.0
     return 100 * sum(scores) / len(scores)
@@ -93,19 +94,18 @@ def bleu_n(hypothesis: str, reference: str, max_order: int = 3,
         raise ValueError("max_order must be >= 1")
     if smoothing not in ("none", "add_one"):
         raise ValueError(f"unknown smoothing {smoothing!r}")
-    hyp_tokens = hypothesis.split()
-    ref_tokens = reference.split()
+    hyp_tokens = tuple(hypothesis.split())
+    ref_tokens = tuple(reference.split())
     if not hyp_tokens or not ref_tokens:
         return 0.0
 
     log_sum = 0.0
     used = 0
     for order in range(1, max_order + 1):
-        hyp_counts = _word_ngrams(hyp_tokens, order)
-        total = sum(hyp_counts.values())
-        if total == 0:
+        total = len(hyp_tokens) - order + 1
+        if total <= 0:
             continue  # hypothesis shorter than this order
-        matched = _overlap(hyp_counts, _word_ngrams(ref_tokens, order))
+        matched = _overlap(_ngrams(hyp_tokens, order), _ngrams(ref_tokens, order))
         if smoothing == "add_one" and order > 1:
             precision = (matched + 1) / (total + 1)
         else:

@@ -195,6 +195,22 @@ class TestEvaluateAndReport:
         assert result.stdout == (f"scored {len(instances) - 2} pairs -> "
                                  f"{workspace / 'eval_errored.json'}\n")
 
+    def test_duplicate_response_rows_exit_1(self, workspace):
+        instances = list(read_jsonl(workspace / "data.jsonl"))
+        responses = [{"instance_id": inst["id"], "reference_kind": kind,
+                      "answer": inst["answer"], "raw_completion": inst["answer"], "error": None}
+                     for inst in instances for kind in ("absolute", "chronological")]
+        # a second chronological row for the third instance, with another answer
+        responses.append(dict(responses[5], answer="Nobody", raw_completion="Nobody"))
+        write_jsonl(workspace / "duplicated.jsonl", responses)
+        result = trc("evaluate", "--dataset", workspace / "data.jsonl",
+                     "--responses", workspace / "duplicated.jsonl",
+                     "--output", workspace / "eval_duplicated.json")
+        assert result.returncode == 1
+        assert result.stderr == (f"error: second chronological response for instance "
+                                 f"{instances[2]['id']!r}\n")
+        assert not (workspace / "eval_duplicated.json").exists()
+
 
 class TestCollect:
     def test_collect_and_cache(self, workspace):

@@ -270,6 +270,18 @@ class TestSyntheticBatch:
         assert [s["id"] for s in skips] == ["inverted"]
         assert skips[0]["reason"].startswith("InvertedInterval: sentence 0:")
 
+    def test_duplicate_ids_are_skipped(self):
+        records = make_records(make_timelines(20, seed=5))
+        buildable = len(build_dataset(records)[0])
+        for record in records:
+            record["id"] = "same"
+        instances, skips = build_dataset(records)
+        assert [inst.id for inst in instances] == ["same"]
+        duplicates = [s for s in skips if s["reason"].startswith("DuplicateInstanceId")]
+        assert len(duplicates) == buildable - 1 > 0
+        assert {s["id"] for s in duplicates} == {"same"}
+        assert duplicates[0]["reason"] == "DuplicateInstanceId: instance id 'same' is already built"
+
 
 def _perturbed_records(n_timelines: int, seed: int) -> list[dict]:
     """synthkb records with every kind of unbuildable or irregular source mixed in.

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,3 +238,87 @@ class TestProfileNormOracle:
             assert [_profile_cosine(counts, p) for p in profiles] == \
                 [_reference_profile_cosine(counts, p) for p in profiles]
             assert detect_language(text, profiles) == _reference_detect_language(text, profiles)
+
+
+# --- chrF++ and BLEU before each order's n-grams were counted once per side ---
+
+def _reference_char_ngrams(text, order):
+    chars = " ".join(text.split()).replace(" ", "")
+    return Counter(chars[i:i + order] for i in range(len(chars) - order + 1))
+
+
+def _reference_word_ngrams(tokens, order):
+    return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
+
+
+def _reference_chrf_pp(hypothesis, reference, config):
+    hypothesis, reference = " ".join(hypothesis.split()), " ".join(reference.split())
+    if not hypothesis and not reference:
+        return 100.0
+    if not hypothesis or not reference:
+        return 0.0
+    grams = [(_reference_char_ngrams(hypothesis, order), _reference_char_ngrams(reference, order))
+             for order in range(1, config.char_ngram_max + 1)]
+    grams += [(_reference_word_ngrams(hypothesis.split(), order),
+               _reference_word_ngrams(reference.split(), order))
+              for order in range(1, config.word_ngram_max + 1)]
+    scores = []
+    for hyp_counts, ref_counts in grams:
+        total_hyp, total_ref = sum(hyp_counts.values()), sum(ref_counts.values())
+        if total_hyp == 0 and total_ref == 0:
+            continue
+        if total_hyp == 0 or total_ref == 0:
+            scores.append(0.0)
+            continue
+        common = sum((hyp_counts & ref_counts).values())
+        precision, recall = common / total_hyp, common / total_ref
+        if precision + recall == 0:
+            scores.append(0.0)
+            continue
+        b2 = config.beta * config.beta
+        scores.append((1 + b2) * precision * recall / (b2 * precision + recall))
+    return 100 * sum(scores) / len(scores) if scores else 0.0
+
+
+def _reference_bleu_n(hypothesis, reference, max_order, smoothing):
+    hyp_tokens, ref_tokens = hypothesis.split(), reference.split()
+    if not hyp_tokens or not ref_tokens:
+        return 0.0
+    log_sum, used = 0.0, 0
+    for order in range(1, max_order + 1):
+        hyp_counts = _reference_word_ngrams(hyp_tokens, order)
+        total = sum(hyp_counts.values())
+        if total == 0:
+            continue
+        matched = sum((hyp_counts & _reference_word_ngrams(ref_tokens, order)).values())
+        if smoothing == "add_one" and order > 1:
+            precision = (matched + 1) / (total + 1)
+        else:
+            if matched == 0:
+                return 0.0
+            precision = matched / total
+        log_sum += math.log(precision)
+        used += 1
+    if used == 0:
+        return 0.0
+    brevity = 1.0 if len(hyp_tokens) >= len(ref_tokens) else math.exp(
+        1 - len(ref_tokens) / len(hyp_tokens))
+    return brevity * math.exp(log_sum / used)
+
+
+_MT_TEXT = st.text(alphabet="abcé \t\n　", max_size=40)
+
+
+class TestNgramCountingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_MT_TEXT, _MT_TEXT, st.integers(1, 7), st.integers(0, 3),
+           st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    def test_chrf_matches_per_order_counting(self, hyp, ref, char_max, word_max, beta):
+        config = ChrfConfig(char_ngram_max=char_max, word_ngram_max=word_max, beta=beta)
+        assert chrf_pp(hyp, ref, config) == _reference_chrf_pp(hyp, ref, config)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MT_TEXT, _MT_TEXT, st.integers(1, 5), st.sampled_from(["none", "add_one"]))
+    def test_bleu_matches_per_order_counting(self, hyp, ref, max_order, smoothing):
+        assert bleu_n(hyp, ref, max_order, smoothing) == \
+            _reference_bleu_n(hyp, ref, max_order, smoothing)
