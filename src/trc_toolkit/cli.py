@@ -19,6 +19,8 @@ from .metrics import EvalReport, ResponsePair, evaluate
 from .querygen import BenchmarkInstance
 from .report import build_report, format_text_report
 
+_ENDPOINT = client_mod.EndpointConfig  # its field defaults are `collect`'s
+
 STYLE_BY_FLAG = {
     "zero": "zero_shot",
     "icl": "icl",
@@ -104,7 +106,7 @@ def export_sft(dataset, pairing, instruction, output):
               help="Demonstration pool; defaults to the dataset itself.")
 @click.option("--style", "style_flag", type=click.Choice(sorted(STYLE_BY_FLAG)),
               default="icl", show_default=True)
-@click.option("--shots", default=3, show_default=True, type=int)
+@click.option("--shots", default=prompting.PromptStyle.shots, show_default=True, type=int)
 @click.option("--reference", type=click.Choice(prompting.REFERENCE_KINDS),
               default="chronological", show_default=True)
 @click.option("--seed", default=0, show_default=True, type=int)
@@ -148,11 +150,11 @@ def prompt(dataset, pool, style_flag, shots, reference, seed, output, preview):
 @click.option("--cache-dir", required=True, type=click.Path())
 @click.option("--style", "style_flag", type=click.Choice(sorted(STYLE_BY_FLAG)),
               default="icl", show_default=True)
-@click.option("--temperature", default=0.0, show_default=True, type=float)
-@click.option("--max-new-tokens", default=30, show_default=True, type=int)
-@click.option("--parallelism", default=4, show_default=True, type=int)
-@click.option("--retry-limit", default=3, show_default=True, type=int)
-@click.option("--timeout", default=60.0, show_default=True, type=float)
+@click.option("--temperature", default=_ENDPOINT.temperature, show_default=True, type=float)
+@click.option("--max-new-tokens", default=_ENDPOINT.max_new_tokens, show_default=True, type=int)
+@click.option("--parallelism", default=_ENDPOINT.parallelism, show_default=True, type=int)
+@click.option("--retry-limit", default=_ENDPOINT.retry_limit, show_default=True, type=int)
+@click.option("--timeout", default=_ENDPOINT.timeout, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
 def collect(prompts_path, endpoint, model, output, cache_dir, style_flag,
             temperature, max_new_tokens, parallelism, retry_limit, timeout, seed):

@@ -36,7 +36,7 @@ from .prompting import PromptStyle
 PARALLELISM_CAP = 16
 API_KEY_ENV = "TRC_API_KEY"
 
-DEFAULT_ANSWER_MARKER = r"(?i)\banswer\s*[:：]"
+_ANSWER_MARKER = re.compile(r"(?i)\banswer\s*[:：]")
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,14 @@ def prompt_hash(model_name: str, prompt: str) -> str:
     return hashlib.sha256(f"{model_name}\x00{prompt}".encode("utf-8")).hexdigest()
 
 
-def extract_answer(raw_completion: str, style: PromptStyle,
-                   marker: str = DEFAULT_ANSWER_MARKER) -> str:
+def extract_answer(raw_completion: str, style: PromptStyle) -> str:
     """Rule-based answer extraction; unextractable completions yield ""."""
     lines = [line.strip() for line in raw_completion.splitlines() if line.strip()]
     if not lines:
         return ""
     if style.kind != "semantic_cot":
         return lines[0]
-    matches = list(re.finditer(marker, raw_completion))
+    matches = list(_ANSWER_MARKER.finditer(raw_completion))
     if matches:
         tail = raw_completion[matches[-1].end():].strip()
         if tail:
@@ -299,7 +298,6 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
                       config: EndpointConfig,
                       cache: ResponseCache,
                       style: PromptStyle = PromptStyle("icl"),
-                      marker: str = DEFAULT_ANSWER_MARKER,
                       seed: int = 0, *,
                       sleep=time.sleep) -> list[CompletionRecord]:
     """Fetch one completion per (instance_id, reference_kind, prompt).
@@ -367,26 +365,12 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
     records = []
     for index, ((instance_id, reference_kind, _prompt), key) in enumerate(zip(prompts, keys)):
         cached = cache.get(key)
-        if cached is not None:
-            raw = cached["raw_completion"]
-            records.append(CompletionRecord(
-                instance_id=instance_id,
-                reference_kind=reference_kind,
-                prompt_hash=key,
-                raw_completion=raw,
-                answer=extract_answer(raw, style, marker),
-                model_name=config.model_name,
-                latency=cached.get("latency", 0.0),
-            ))
+        if cached is None:  # a pending index not in the cache ran out of retries
+            raw, latency, error = "", 0.0, errors[index]
         else:
-            records.append(CompletionRecord(
-                instance_id=instance_id,
-                reference_kind=reference_kind,
-                prompt_hash=key,
-                raw_completion="",
-                answer="",
-                model_name=config.model_name,
-                latency=0.0,
-                error=errors.get(index, "retry budget exhausted"),
-            ))
+            raw, latency, error = cached["raw_completion"], cached.get("latency", 0.0), None
+        records.append(CompletionRecord(
+            instance_id=instance_id, reference_kind=reference_kind, prompt_hash=key,
+            raw_completion=raw, answer=extract_answer(raw, style),
+            model_name=config.model_name, latency=latency, error=error))
     return records

@@ -61,9 +61,9 @@ class SampleTooLarge(ToolkitError):
 
 
 class DuplicateInstanceId(ToolkitError):
-    def __init__(self, instance_id: str):
+    def __init__(self, instance_id: str, message: str = ""):
         self.instance_id = instance_id
-        super().__init__(f"instance id {instance_id!r} is already built")
+        super().__init__(message or f"instance id {instance_id!r} is already built")
 
 
 # --- prompting / SFT export ---

@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import (
+    DuplicateInstanceId,
     EmptyInput,
     LengthMismatch,
     MissingGold,
     UnknownInstanceId,
     ZeroVariance,
 )
+from .manifest import JsonRecord
 from .querygen import BenchmarkInstance
 
 _ARTICLES = {"a", "an", "the"}
@@ -142,7 +144,11 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 @dataclass
-class EvalReport:
+class EvalReport(JsonRecord):
+    """Every aggregate of one run; a breakdown maps a name to (trc, trcf, count).
+
+    `eval.json` is `to_dict()`; read back, the breakdown values are lists.
+    """
     em_ctr: float
     em_atr: float
     f1_ctr: float
@@ -155,34 +161,21 @@ class EvalReport:
     per_entity: dict[str, tuple[float, float, int]] = field(default_factory=dict)
     per_language: dict[str, tuple[float, float, int]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "em_ctr": self.em_ctr, "em_atr": self.em_atr,
-            "f1_ctr": self.f1_ctr, "f1_atr": self.f1_atr,
-            "dev_em": self.dev_em, "dev_f1": self.dev_f1,
-            "trc": self.trc, "trcf": self.trcf, "m": self.m,
-            "per_entity": {k: list(v) for k, v in self.per_entity.items()},
-            "per_language": {k: list(v) for k, v in self.per_language.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        return cls(
-            em_ctr=data["em_ctr"], em_atr=data["em_atr"],
-            f1_ctr=data["f1_ctr"], f1_atr=data["f1_atr"],
-            dev_em=data["dev_em"], dev_f1=data["dev_f1"],
-            trc=data["trc"], trcf=data["trcf"], m=data["m"],
-            per_entity={k: tuple(v) for k, v in data.get("per_entity", {}).items()},
-            per_language={k: tuple(v) for k, v in data.get("per_language", {}).items()},
-        )
-
 
 def evaluate(dataset: Sequence[BenchmarkInstance], pairs: Sequence[ResponsePair],
              strict: bool = False) -> EvalReport:
-    """Aggregate every metric plus per-entity-type and per-language breakdowns."""
+    """Aggregate every metric plus per-entity-type and per-language breakdowns.
+
+    A dataset that repeats an instance id is rejected: which of the two
+    instances a response is scored against would depend on row order.
+    """
     if not pairs:
         raise EmptyInput("no response pairs")
-    by_id = {inst.id: inst for inst in dataset}
+    by_id: dict[str, BenchmarkInstance] = {}
+    for inst in dataset:
+        if inst.id in by_id:
+            raise DuplicateInstanceId(inst.id, f"dataset repeats instance id {inst.id!r}")
+        by_id[inst.id] = inst
     for pair in pairs:
         if pair.instance_id not in by_id:
             raise UnknownInstanceId(f"response for unknown instance {pair.instance_id!r}")

@@ -101,18 +101,9 @@ def _reference_after(query: str, end: int) -> str:
     return reference
 
 
-def split_reference(query: str) -> tuple[str, str, str]:
-    """Split a query at its direction keyword.
-
-    Returns (prefix ending at the keyword incl. trailing space, direction,
-    reference span without the trailing '?').
-    """
-    m = _direction_match(query)
-    return query[: m.end()], m.group(2), _reference_after(query, m.end())
-
-
 def reference_span(query: str) -> str:
-    return split_reference(query)[2]
+    """The span after a query's direction keyword, without the trailing '?'."""
+    return _reference_after(query, _direction_match(query).end())
 
 
 def build_instance(record: dict, language: str = "en") -> BenchmarkInstance:

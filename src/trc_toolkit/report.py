@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import DatasetMismatch, ZeroVariance
+from .errors import DatasetMismatch, LengthMismatch, ZeroVariance
 from .metrics import EvalReport, pearson
 from .querygen import BenchmarkInstance
 
@@ -28,9 +28,11 @@ def _entity_rows(report: EvalReport) -> list[dict]:
 
 
 def _safe_pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
+    """Pearson r to two decimals; None ("not computable") for fewer than two
+    points or zero variance."""
     try:
         return round(pearson(x, y), 2)
-    except ZeroVariance:
+    except (LengthMismatch, ZeroVariance):
         return None
 
 
@@ -43,13 +45,8 @@ def build_report(report: EvalReport, dataset: Sequence[BenchmarkInstance],
         raise DatasetMismatch(f"report covers entity types absent from dataset: {unknown}")
 
     entity_rows = _entity_rows(report)
-    correlations: dict[str, Optional[float]] = {}
-    if len(entity_rows) >= 2:
-        counts = [row["count"] for row in entity_rows]
-        correlations["entity_count_vs_trc"] = _safe_pearson(
-            counts, [row["trc"] for row in entity_rows])
-    else:
-        correlations["entity_count_vs_trc"] = None
+    correlations = {"entity_count_vs_trc": _safe_pearson(
+        [row["count"] for row in entity_rows], [row["trc"] for row in entity_rows])}
 
     doc = {
         "summary": report.to_dict(),
@@ -64,17 +61,24 @@ def build_report(report: EvalReport, dataset: Sequence[BenchmarkInstance],
     if compare is not None:
         shared = [row["entity_type"] for row in entity_rows
                   if row["entity_type"] in compare.per_entity]
-        if len(shared) >= 2:
-            correlations["baseline_trcf_vs_trcf"] = _safe_pearson(
-                [compare.per_entity[e][1] for e in shared],
-                [report.per_entity[e][1] for e in shared])
-        else:
-            correlations["baseline_trcf_vs_trcf"] = None
+        correlations["baseline_trcf_vs_trcf"] = _safe_pearson(
+            [compare.per_entity[e][1] for e in shared],
+            [report.per_entity[e][1] for e in shared])
         doc["baseline"] = {
             e: {"trc": compare.per_entity[e][0], "trcf": compare.per_entity[e][1]}
             for e in shared
         }
     return doc
+
+
+def _table(title: str, key_header: str, rows) -> list[str]:
+    """One breakdown table: a (key, {trc, trcf, count}) pair per row."""
+    lines = ["", title, key_header.ljust(18) + "Temp-Ref-Cons".rjust(16)
+             + "Temp-Ref-Cons-Fact".rjust(20) + "count".rjust(10)]
+    for key, row in rows:
+        lines.append(key.ljust(18) + f"{row['trc']:.2f}".rjust(16)
+                     + f"{row['trcf']:.2f}".rjust(20) + str(row["count"]).rjust(10))
+    return lines
 
 
 def format_text_report(doc: dict) -> str:
@@ -88,25 +92,10 @@ def format_text_report(doc: dict) -> str:
     lines.append("".join(col.rjust(width) for col in SUMMARY_COLUMNS))
     lines.append("".join(f"{v:.2f}".rjust(width) for v in values))
 
-    lines.append("")
-    lines.append("Per entity type")
-    header = ("entity type".ljust(18) + "Temp-Ref-Cons".rjust(16)
-              + "Temp-Ref-Cons-Fact".rjust(20) + "count".rjust(10))
-    lines.append(header)
-    for row in doc["per_entity"]:
-        lines.append(row["entity_type"].ljust(18)
-                     + f"{row['trc']:.2f}".rjust(16)
-                     + f"{row['trcf']:.2f}".rjust(20)
-                     + str(row["count"]).rjust(10))
-
+    lines += _table("Per entity type", "entity type",
+                    ((row["entity_type"], row) for row in doc["per_entity"]))
     if doc["per_language"]:
-        lines.append("")
-        lines.append("Per language")
-        lines.append("language".ljust(18) + "Temp-Ref-Cons".rjust(16)
-                     + "Temp-Ref-Cons-Fact".rjust(20) + "count".rjust(10))
-        for lang, row in doc["per_language"].items():
-            lines.append(lang.ljust(18) + f"{row['trc']:.2f}".rjust(16)
-                         + f"{row['trcf']:.2f}".rjust(20) + str(row["count"]).rjust(10))
+        lines += _table("Per language", "language", doc["per_language"].items())
 
     lines.append("")
     lines.append("Correlations")

@@ -211,6 +211,28 @@ class TestEvaluateAndReport:
                                  f"{instances[2]['id']!r}\n")
         assert not (workspace / "eval_duplicated.json").exists()
 
+    def test_repeated_dataset_id_exits_1(self, scored):
+        instances = list(read_jsonl(scored / "data.jsonl"))
+        # the second instance again under the first one's id, listed first
+        write_jsonl(scored / "data_repeated.jsonl",
+                    [dict(instances[1], id=instances[0]["id"])] + instances)
+        result = trc("evaluate", "--dataset", scored / "data_repeated.jsonl",
+                     "--responses", scored / "responses.jsonl",
+                     "--output", scored / "eval_repeated.json")
+        assert result.returncode == 1
+        assert result.stderr == f"error: dataset repeats instance id {instances[0]['id']!r}\n"
+        assert not (scored / "eval_repeated.json").exists()
+
+    def test_report_file_missing_a_field_exits_1(self, scored):
+        report = json.loads((scored / "eval.json").read_text())
+        del report["per_language"]
+        (scored / "eval_partial.json").write_text(json.dumps(report))
+        result = trc("report", "--report", scored / "eval_partial.json",
+                     "--dataset", scored / "data.jsonl", "--output", scored / "partial")
+        assert result.returncode == 1
+        assert result.stderr == "error: 'per_language'\n"
+        assert not (scored / "partial.json").exists()
+
 
 class TestCollect:
     def test_collect_and_cache(self, workspace):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trc_toolkit.errors import (
+    DuplicateInstanceId,
     EmptyInput,
     LengthMismatch,
     MissingGold,
@@ -234,6 +236,17 @@ class TestEvaluate:
     def test_empty_responses(self, synthetic_dataset):
         with pytest.raises(EmptyInput):
             evaluate(synthetic_dataset, [])
+
+    def test_repeated_dataset_id_is_rejected(self, synthetic_dataset):
+        # the second instance under the first one's id, with another answer:
+        # keeping either copy would make the score depend on row order
+        a, other = synthetic_dataset[0], synthetic_dataset[1]
+        assert a.answer != other.answer
+        duplicate = dataclasses.replace(other, id=a.id)
+        pairs = [ResponsePair(a.id, a.answer, a.answer)]
+        for dataset in ([a, duplicate], [duplicate, a]):
+            with pytest.raises(DuplicateInstanceId, match=f"dataset repeats instance id {a.id!r}"):
+                evaluate(dataset, pairs)
 
     def test_breakdown_counts_sum_to_m(self, synthetic_dataset):
         pairs = _oracle_pairs(synthetic_dataset,

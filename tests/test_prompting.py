@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from trc_toolkit.cli import STYLE_BY_FLAG, main
 from trc_toolkit.errors import PairingViolation, PoolTooSmall
@@ -163,7 +163,9 @@ class TestCandidates:
 
 
 class TestRetrievalOracle:
-    @settings(max_examples=150, deadline=None)
+    # no shrinking: each step reruns `trc prompt`, so a failure took minutes to report
+    @settings(max_examples=150, deadline=None,
+              phases=[phase for phase in Phase if phase is not Phase.shrink])
     @given(_retrieval_cases(), st.sampled_from(["icl", "semantic-icl", "semantic-cot"]),
            st.integers(1, 5), st.sampled_from(["absolute", "chronological"]),
            st.integers(0, 3))
