@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import (
     DuplicateInstanceId,
+    DuplicateResponse,
     EmptyInput,
     LengthMismatch,
     MissingGold,
@@ -167,7 +168,8 @@ def evaluate(dataset: Sequence[BenchmarkInstance], pairs: Sequence[ResponsePair]
     """Aggregate every metric plus per-entity-type and per-language breakdowns.
 
     A dataset that repeats an instance id is rejected: which of the two
-    instances a response is scored against would depend on row order.
+    instances a response is scored against would depend on row order. So
+    is a second pair for one instance id, which would be scored twice.
     """
     if not pairs:
         raise EmptyInput("no response pairs")
@@ -176,9 +178,13 @@ def evaluate(dataset: Sequence[BenchmarkInstance], pairs: Sequence[ResponsePair]
         if inst.id in by_id:
             raise DuplicateInstanceId(inst.id, f"dataset repeats instance id {inst.id!r}")
         by_id[inst.id] = inst
+    paired: set[str] = set()
     for pair in pairs:
         if pair.instance_id not in by_id:
             raise UnknownInstanceId(f"response for unknown instance {pair.instance_id!r}")
+        if pair.instance_id in paired:
+            raise DuplicateResponse(f"second response pair for instance {pair.instance_id!r}")
+        paired.add(pair.instance_id)
     rows = [_score_pair(p, by_id[p.instance_id].answer, strict) for p in pairs]
     em_a, em_c, f1_a, f1_c, identical, correct = zip(*rows)
 

@@ -6,6 +6,7 @@ similarity over bag-of-words vectors: deterministic and dependency-free.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -233,6 +234,13 @@ class Candidates(Sequence):
         return [self.pool.items[pos] for pos in index.rank(query, k, self.skip)]
 
 
+@functools.lru_cache(maxsize=64)
+def _icl_draw(seed: int, n: int, k: int) -> tuple[int, ...]:
+    """The positions `random.Random(seed).sample(pool, k)` picks from a pool
+    of n: they depend on nothing else, so a run's targets share one draw."""
+    return tuple(random.Random(seed).sample(range(n), k))
+
+
 def select_demonstrations(pool: Sequence[BenchmarkInstance], query: str,
                           style: PromptStyle, seed: int,
                           reference_kind: str = "chronological",
@@ -247,7 +255,7 @@ def select_demonstrations(pool: Sequence[BenchmarkInstance], query: str,
     if len(pool) < style.shots:
         raise PoolTooSmall(f"pool of {len(pool)} cannot supply {style.shots} shots")
     if style.kind == "icl":
-        return random.Random(seed).sample(pool, style.shots)
+        return [pool[i] for i in _icl_draw(seed, len(pool), style.shots)]
     # semantic styles: IDF-weighted cosine, ties broken by pool order
     if not isinstance(pool, Candidates):
         pool = Candidates(DemoPool(pool), ())

@@ -106,15 +106,18 @@ def reference_span(query: str) -> str:
     return _reference_after(query, _direction_match(query).end())
 
 
-def build_instance(record: dict, language: str = "en") -> BenchmarkInstance:
+def build_instance(record: dict, language: str = "en", *,
+                   _timelines: dict | None = None) -> BenchmarkInstance:
     """Run the full construction pipeline on one raw source record.
 
     Expects keys: question, subject, relation, fact_context; optional id,
     answer, language. Raises toolkit errors with the instance id attached.
+    `_timelines` is `build_dataset`'s memo of the fact contexts it parsed.
     """
     instance_id = str(record.get("id") or _derive_id(record))
+    timelines = {} if _timelines is None else _timelines
     try:
-        return _build_instance(record, instance_id, record.get("language", language))
+        return _build_instance(record, instance_id, record.get("language", language), timelines)
     except ToolkitError as exc:
         exc.instance_id = instance_id
         raise
@@ -132,10 +135,14 @@ def _pathway(anchor: TemporalFact, direction: str, reference: str,
             f"{answer_fact.sentence(with_times=False)}.").lower()
 
 
-def _build_instance(record: dict, instance_id: str, language: str) -> BenchmarkInstance:
+def _build_instance(record: dict, instance_id: str, language: str,
+                    timelines: dict) -> BenchmarkInstance:
     relation = normalize_relation(record["relation"])
     subject = record["subject"].strip()
-    timeline = parse_fact_context(record["fact_context"], subject, relation)
+    key = (record["fact_context"], subject, relation)
+    if key not in timelines:   # a context that fails to parse is not kept
+        timelines[key] = parse_fact_context(*key)
+    timeline = timelines[key]
 
     # The chronological query always reads "right before/after <event>".
     question = record["question"].strip()
@@ -181,16 +188,19 @@ def build_dataset(records: Iterable[dict], language: str = "en",
     """Build every record, skipping (not failing) the unbuildable ones.
 
     A record whose id an earlier record already built is skipped too, so
-    every instance id in the output is unique.
+    every instance id in the output is unique. Each distinct (fact context,
+    subject, relation) is parsed once per call; the timelines are dropped
+    when it returns.
 
     Returns (instances in source order, skip log entries {id, reason}).
     """
     instances: list[BenchmarkInstance] = []
     skips: list[dict] = []
     built: set[str] = set()
+    timelines: dict = {}
     for record in records:
         try:
-            instance = build_instance(record, language=language)
+            instance = build_instance(record, language=language, _timelines=timelines)
             if instance.id in built:
                 raise DuplicateInstanceId(instance.id)
         except (ToolkitError, KeyError) as exc:

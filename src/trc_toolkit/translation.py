@@ -8,7 +8,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyInput, ProfileMissing
 
@@ -17,9 +18,33 @@ def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-def _ngrams(seq: str | tuple[str, ...], order: int) -> Counter:
-    """Counts of the order-grams of a string (substrings) or token tuple (tuples)."""
-    return Counter([seq[i:i + order] for i in range(len(seq) - order + 1)])
+def _ngram_orders(seq: str | tuple[str, ...], max_order: int) -> list[list]:
+    """The n-grams of each order 1..max_order of a string (substrings) or of
+    a token tuple (tuples), in position order.
+
+    Order n+1 is order n with the next unigram appended, one C-level
+    concatenation per n-gram.
+    """
+    first = list(seq) if isinstance(seq, str) else list(zip(seq))
+    orders = [first] if max_order >= 1 else []
+    for n in range(1, max_order):
+        orders.append(list(map(add, orders[-1], first[n:])))
+    return orders
+
+
+def _clipped(hyp: list, ref: list) -> int:
+    """Clipped matches between two n-gram lists.
+
+    When either side repeats no n-gram, each shared n-gram matches exactly
+    once, so the count is the size of the two sets' intersection.
+    """
+    hyp_set = set(hyp)
+    if len(hyp_set) == len(hyp):
+        return len(hyp_set.intersection(ref))
+    ref_set = set(ref)
+    if len(ref_set) == len(ref):
+        return len(ref_set & hyp_set)
+    return _overlap(Counter(hyp), Counter(ref))
 
 
 def _overlap(hyp: Counter, ref: Counter) -> int:
@@ -68,16 +93,15 @@ def chrf_pp(hypothesis: str, reference: str, config: ChrfConfig = ChrfConfig()) 
              (tuple(hypothesis.split()), tuple(reference.split()), config.word_ngram_max)]
     scores = []
     for hyp, ref, max_order in sides:
-        for order in range(1, max_order + 1):
-            total_hyp = max(0, len(hyp) - order + 1)
-            total_ref = max(0, len(ref) - order + 1)
-            if total_hyp == 0 and total_ref == 0:
+        for hyp_grams, ref_grams in zip(_ngram_orders(hyp, max_order),
+                                        _ngram_orders(ref, max_order)):
+            if not hyp_grams and not ref_grams:
                 continue  # order longer than both strings
-            if total_hyp == 0 or total_ref == 0:
+            if not hyp_grams or not ref_grams:
                 scores.append(0.0)
                 continue
-            common = _overlap(_ngrams(hyp, order), _ngrams(ref, order))
-            scores.append(_fbeta(common / total_hyp, common / total_ref, config.beta))
+            common = _clipped(hyp_grams, ref_grams)
+            scores.append(_fbeta(common / len(hyp_grams), common / len(ref_grams), config.beta))
     if not scores:
         return 0.0
     return 100 * sum(scores) / len(scores)
@@ -101,11 +125,12 @@ def bleu_n(hypothesis: str, reference: str, max_order: int = 3,
 
     log_sum = 0.0
     used = 0
-    for order in range(1, max_order + 1):
-        total = len(hyp_tokens) - order + 1
-        if total <= 0:
+    orders = zip(_ngram_orders(hyp_tokens, max_order), _ngram_orders(ref_tokens, max_order))
+    for order, (hyp_grams, ref_grams) in enumerate(orders, 1):
+        total = len(hyp_grams)
+        if total == 0:
             continue  # hypothesis shorter than this order
-        matched = _overlap(_ngrams(hyp_tokens, order), _ngrams(ref_tokens, order))
+        matched = _clipped(hyp_grams, ref_grams)
         if smoothing == "add_one" and order > 1:
             precision = (matched + 1) / (total + 1)
         else:
@@ -142,32 +167,38 @@ class LanguageProfile:
     def from_corpus(cls, language: str, texts: Iterable[str]) -> "LanguageProfile":
         counts: Counter = Counter()
         for text in texts:
-            counts.update(_trigrams(text))
+            counts.update(_trigram_stream(text))
         total = sum(counts.values())
         if total == 0:
             raise EmptyInput(f"no trigrams in corpus for {language!r}")
         return cls(language, {t: c / total for t, c in counts.items()})
 
 
-def _trigrams(text: str) -> Counter:
+def _trigram_stream(text: str) -> Iterator[str]:
+    """The text's character trigrams in position order, padded by a space."""
     padded = f" {_normalize_ws(text.lower())} "
-    return Counter(padded[i:i + 3] for i in range(len(padded) - 2))
+    return map(add, map(add, padded, padded[1:]), padded[2:])
 
 
-def _profile_cosine(counts: Counter, profile: LanguageProfile) -> float:
+def _trigrams(text: str) -> Counter:
+    return Counter(_trigram_stream(text))
+
+
+def _profile_cosine(counts: Counter, norm: float, profile: LanguageProfile) -> float:
+    """Cosine of trigram counts (whose norm is `norm`) and a profile."""
     freqs = profile.trigram_frequencies
-    dot = sum(c * freqs.get(t, 0.0) for t, c in counts.items())
+    dot = sum([c * freqs.get(t, 0.0) for t, c in counts.items()])
     if dot == 0:
         return 0.0
-    na = math.sqrt(sum(c * c for c in counts.values()))
-    return dot / (na * profile.norm)
+    return dot / (norm * profile.norm)
 
 
 def detect_language(text: str, profiles: Sequence[LanguageProfile]) -> str:
     if not profiles:
         raise ProfileMissing("no language profiles supplied")
     counts = _trigrams(text)
-    best = max(profiles, key=lambda p: _profile_cosine(counts, p))
+    norm = math.sqrt(sum(c * c for c in counts.values()))
+    best = max(profiles, key=lambda p: _profile_cosine(counts, norm, p))
     return best.language
 
 

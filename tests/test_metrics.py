@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from trc_toolkit.errors import (
     DuplicateInstanceId,
+    DuplicateResponse,
     EmptyInput,
     LengthMismatch,
     MissingGold,
@@ -247,6 +248,18 @@ class TestEvaluate:
         for dataset in ([a, duplicate], [duplicate, a]):
             with pytest.raises(DuplicateInstanceId, match=f"dataset repeats instance id {a.id!r}"):
                 evaluate(dataset, pairs)
+
+    def test_repeated_response_pair_is_rejected(self, synthetic_dataset):
+        # scored twice, a repeated pair would weigh double: m 3 and trcf 66.67
+        # for [p, p, q] against m 2 and trcf 50.0 for [p, q]
+        a, b = synthetic_dataset[0], synthetic_dataset[1]
+        p = ResponsePair(a.id, a.answer, a.answer)
+        q = ResponsePair(b.id, b.answer, "wrong")
+        assert (evaluate(synthetic_dataset, [p, q]).m,
+                evaluate(synthetic_dataset, [p, q]).trcf) == (2, 50.0)
+        for pairs in ([p, p, q], [p, q, p], [q, p, dataclasses.replace(p, answer_absolute="x")]):
+            with pytest.raises(DuplicateResponse, match=f"second response pair for instance {a.id!r}"):
+                evaluate(synthetic_dataset, pairs)
 
     def test_breakdown_counts_sum_to_m(self, synthetic_dataset):
         pairs = _oracle_pairs(synthetic_dataset,

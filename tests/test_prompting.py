@@ -64,6 +64,26 @@ class TestSelectDemonstrations:
         assert [d.id for d in demos] == [
             "t000-f1-after", "t000-f1-before", "t000-f2-before"]
 
+    @pytest.mark.parametrize("shots", [1, 3, 6])
+    def test_icl_matches_seeded_sample_of_the_pool(self, synthetic_dataset, shots):
+        # pools of at most 21 take CPython's list branch of `sample`, larger ones its set branch
+        for size in range(max(3, shots), 31):
+            pool = synthetic_dataset[:size]
+            for seed in (0, 7, 12345):
+                demos = select_demonstrations(pool, "q", PromptStyle("icl", shots), seed)
+                assert demos == random.Random(seed).sample(pool, shots)
+
+    @pytest.mark.parametrize("size", [8, 21, 22, 30])
+    def test_icl_on_a_candidates_view(self, synthetic_dataset, size):
+        items = synthetic_dataset[:size]
+        items = items + [items[2], items[size - 1]]   # two ids appear twice
+        for skipped in (items[0].id, items[2].id, items[size - 1].id, "absent"):
+            view = DemoPool(items).without(skipped)
+            remaining = [inst for inst in items if inst.id != skipped]
+            for seed in (3, 99):
+                demos = select_demonstrations(view, "q", PromptStyle("icl", 3), seed)
+                assert demos == random.Random(seed).sample(remaining, 3)
+
     def test_pool_too_small(self, pool):
         with pytest.raises(PoolTooSmall):
             select_demonstrations(pool[:2], "q", PromptStyle("icl", 3), seed=0)

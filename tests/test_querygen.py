@@ -7,10 +7,13 @@ import threading
 
 import pytest
 
+from trc_toolkit import querygen
 from trc_toolkit.errors import (
+    DuplicateInstanceId,
     ReferenceEventNotFound,
     SampleTooLarge,
     SlotUnresolved,
+    ToolkitError,
 )
 from trc_toolkit.querygen import (
     BenchmarkInstance,
@@ -345,3 +348,67 @@ def test_perturbed_batch_golden():
     }
     observed = {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in observed.items()}
     assert observed == PERTURBED_BUILD_DIGESTS
+
+
+# --- build_dataset parses each fact context once per call ---
+
+def _reference_build_dataset(records):
+    """build_dataset as a plain loop of build_instance calls, parsing every record."""
+    instances, skips, built = [], [], set()
+    for record in records:
+        try:
+            instance = build_instance(record)
+            if instance.id in built:
+                raise DuplicateInstanceId(instance.id)
+        except (ToolkitError, KeyError) as exc:
+            skips.append({"id": getattr(exc, "instance_id", str(record.get("id", ""))),
+                          "reason": f"{type(exc).__name__}: {exc}"})
+            continue
+        built.add(instance.id)
+        instances.append(instance)
+    return instances, skips
+
+
+@pytest.fixture
+def counted_parses(monkeypatch):
+    """The (text, subject, relation) of every parse_fact_context call querygen makes."""
+    calls = []
+    parse = querygen.parse_fact_context
+
+    def counted(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(querygen, "parse_fact_context", counted)
+    return calls
+
+
+class TestParseMemo:
+    def test_batch_equals_a_loop_of_build_instance(self):
+        records = _perturbed_records(60, seed=3)
+        records += [dict(r, id=f"{r.get('id', '')}-again") for r in records[::7]]
+        random.Random(5).shuffle(records)
+        assert build_dataset(records) == _reference_build_dataset(records)
+
+    def test_each_distinct_context_is_parsed_once(self, counted_parses):
+        records = make_records(make_timelines(20, seed=5))
+        random.Random(1).shuffle(records)   # records of one timeline need not be adjacent
+        instances, _ = build_dataset(records)
+        assert instances
+        keys = [(r["fact_context"], r["subject"], r["relation"]) for r in records]
+        assert sorted(counted_parses) == sorted(set(keys))
+        assert len(set(keys)) < len(records)
+
+    def test_failures_are_not_kept(self, pelikan_record, counted_parses):
+        inverted = ("Jaroslav Pelikan worked for Valparaiso University from January 1950 "
+                    "to January 1940. " + pelikan_record["fact_context"])
+        bad = [dict(pelikan_record, id="bad-1", fact_context=inverted),
+               dict(pelikan_record, id="bad-2", fact_context=inverted,
+                    question=pelikan_record["question"].replace("before", "after"))]
+        instances, skips = build_dataset([bad[0], pelikan_record, bad[1]])
+        assert [inst.id for inst in instances] == ["pelikan-1"]
+        reason = ("InvertedInterval: sentence 0: ends January 1940, "
+                  "before it starts January 1950")
+        assert skips == [{"id": "bad-1", "reason": reason}, {"id": "bad-2", "reason": reason}]
+        # each failing record parsed its context again and raised its own error
+        assert len(counted_parses) == 3

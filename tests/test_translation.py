@@ -2,7 +2,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trc_toolkit.errors import ProfileMissing
 from trc_toolkit.translation import (
@@ -235,7 +235,8 @@ class TestProfileNormOracle:
                     for k, corpus in enumerate(corpora)]
         for text in texts:
             counts = _trigrams(text)
-            assert [_profile_cosine(counts, p) for p in profiles] == \
+            norm = math.sqrt(sum(c * c for c in counts.values()))
+            assert [_profile_cosine(counts, norm, p) for p in profiles] == \
                 [_reference_profile_cosine(counts, p) for p in profiles]
             assert detect_language(text, profiles) == _reference_detect_language(text, profiles)
 
@@ -307,6 +308,10 @@ def _reference_bleu_n(hypothesis, reference, max_order, smoothing):
 
 
 _MT_TEXT = st.text(alphabet="abcé \t\n　", max_size=40)
+_WIDE_WORD = st.one_of(
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCÉéßøł東京-'?.,", min_size=1, max_size=12),
+    st.sampled_from(["000", "00", "000-0", "000-1", "0", "1902", "Works"]))
+_WIDE_TEXT = st.lists(_WIDE_WORD, max_size=16).map(" ".join).map(lambda text: text[:120])
 
 
 class TestNgramCountingOracle:
@@ -322,3 +327,49 @@ class TestNgramCountingOracle:
     def test_bleu_matches_per_order_counting(self, hyp, ref, max_order, smoothing):
         assert bleu_n(hyp, ref, max_order, smoothing) == \
             _reference_bleu_n(hyp, ref, max_order, smoothing)
+
+    # Wider text: most char orders of 3 and above repeat no n-gram on one side
+    # or both, so the clipped count is a set intersection, while digit runs
+    # ("000") and short alphabets keep the Counter fallback in play. The
+    # examples repeat n-grams on the hypothesis side only.
+    @settings(max_examples=300, deadline=None)
+    @given(_WIDE_TEXT, _WIDE_TEXT, st.integers(1, 7), st.integers(0, 3),
+           st.sampled_from([0.5, 2.0]))
+    @example("000 000 aa", "0 1 2 a", 6, 2, 2.0)
+    @example("the the cat cat", "the cat sat", 6, 3, 2.0)
+    @example("Worx 000-0 Worx 000-0", "Works 000-1 Works 000-2", 6, 2, 2.0)
+    def test_chrf_matches_on_wide_text(self, hyp, ref, char_max, word_max, beta):
+        config = ChrfConfig(char_ngram_max=char_max, word_ngram_max=word_max, beta=beta)
+        assert chrf_pp(hyp, ref, config) == _reference_chrf_pp(hyp, ref, config)
+        assert chrf_pp(ref, hyp, config) == _reference_chrf_pp(ref, hyp, config)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WIDE_TEXT, _WIDE_TEXT, st.integers(1, 5), st.sampled_from(["none", "add_one"]))
+    @example("the the the cat", "the cat sat on", 3, "add_one")
+    @example("000 000 000-1 000 000-1", "000 000-1 000-2", 4, "none")
+    def test_bleu_matches_on_wide_text(self, hyp, ref, max_order, smoothing):
+        assert bleu_n(hyp, ref, max_order, smoothing) == \
+            _reference_bleu_n(hyp, ref, max_order, smoothing)
+        assert bleu_n(ref, hyp, max_order, smoothing) == \
+            _reference_bleu_n(ref, hyp, max_order, smoothing)
+
+
+# --- language profiles before each line's trigrams went straight into one Counter ---
+
+def _reference_from_corpus_frequencies(texts):
+    counts = Counter()
+    for text in texts:
+        padded = f" {' '.join(text.lower().split())} "
+        counts.update(Counter(padded[i:i + 3] for i in range(len(padded) - 2)))
+    total = sum(counts.values())
+    return {t: c / total for t, c in counts.items()}
+
+
+class TestFromCorpusOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_WIDE_TEXT.filter(str.strip), min_size=1, max_size=6))
+    def test_same_frequencies_in_the_same_order(self, texts):
+        profile = LanguageProfile.from_corpus("xx", texts)
+        expected = _reference_from_corpus_frequencies(texts)
+        assert list(profile.trigram_frequencies.items()) == list(expected.items())
+        assert profile.norm == math.sqrt(sum(f * f for f in expected.values()))
