@@ -30,7 +30,7 @@ from typing import Optional, Sequence, TextIO
 from urllib.parse import unquote, urlsplit
 
 from .errors import AuthFailure
-from .manifest import JsonRecord
+from .manifest import JsonRecord, encode_json
 from .prompting import PromptStyle
 
 PARALLELISM_CAP = 16
@@ -93,33 +93,33 @@ def extract_answer(raw_completion: str, style: PromptStyle) -> str:
 
 
 class ResponseCache:
-    """Directory of JSONL shards keyed by prompt-hash prefix.
+    """Directory of JSONL records; new ones are appended to `cache.jsonl`.
 
-    Writes are append-only and serialized through one lock. Each shard stays
-    open for appending until `close()`, and each record goes out as one write
-    and a flush, so a killed run leaves at worst a truncated final line, which
-    loading skips. The first write to such a shard ends the fragment with a
-    newline, so the record written after it stays a line of its own.
+    Writes are serialized through one lock. The file is opened on the first
+    `put` and held until `close()`. Each record is one write and a flush, so a
+    killed process leaves at worst a truncated final line, which loading
+    skips, and the next write ends that fragment with a newline first. The
+    flush does not reach the disk, so a power loss is not covered. Older
+    `??.jsonl` shards (one per key prefix) are still read but never written.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._path = self.directory / "cache.jsonl"
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
-        self._unterminated: set[Path] = set()
-        self._handles: dict[Path, TextIO] = {}
+        self._unterminated = False
+        self._handle: Optional[TextIO] = None
         self._load()
 
-    def _shard(self, key: str) -> Path:
-        return self.directory / f"{key[:2]}.jsonl"
-
     def _load(self):
-        for shard in sorted(self.directory.glob("*.jsonl")):
-            with shard.open("r", encoding="utf-8") as fh:
+        # The live file loads last, so its records win over the older shards'.
+        for path in sorted(self.directory.glob("*.jsonl"), key=lambda p: (p == self._path, p)):
+            with path.open("r", encoding="utf-8") as fh:
                 for line in fh:
-                    if not line.endswith("\n"):  # a tail cut short by a killed run
-                        self._unterminated.add(shard)
+                    if not line.endswith("\n") and path == self._path:
+                        self._unterminated = True  # a tail cut short by a killed run
                     line = line.strip()
                     if not line:
                         continue
@@ -133,24 +133,22 @@ class ResponseCache:
         return self._entries.get(key)
 
     def put(self, key: str, record: dict):
-        shard = self._shard(key)
-        line = json.dumps(record, ensure_ascii=False) + "\n"
+        line = encode_json(record) + "\n"
         with self._lock:
             self._entries[key] = record
-            fh = self._handles.get(shard)
-            if fh is None:
-                fh = self._handles[shard] = shard.open("a", encoding="utf-8")
-            if shard in self._unterminated:
+            if self._handle is None:
+                self._handle = self._path.open("a", encoding="utf-8")
+            if self._unterminated:
                 line = "\n" + line
-                self._unterminated.discard(shard)
-            fh.write(line)
-            fh.flush()
+                self._unterminated = False
+            self._handle.write(line)
+            self._handle.flush()
 
     def close(self):
         with self._lock:
-            for fh in self._handles.values():
-                fh.close()
-            self._handles.clear()
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     def __enter__(self) -> "ResponseCache":
         return self

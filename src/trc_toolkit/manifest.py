@@ -16,6 +16,11 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 
+# `json.dumps` with a keyword argument builds a new encoder per call; every
+# JSONL row (outputs and the response cache) goes through this one instead.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 @cache  # `fields()` builds a new tuple per call; datasets convert record by record
 def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
@@ -46,7 +51,7 @@ def write_jsonl(path: str | Path, records: Iterable[dict]):
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(encode_json(record) + "\n")
 
 
 def sha256_file(path: str | Path) -> str:

@@ -1,12 +1,17 @@
 import base64
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import trc_toolkit
 from trc_toolkit.client import (
     EndpointConfig,
     ResponseCache,
@@ -362,6 +367,112 @@ class TestCollectResponses:
     def test_parallelism_hard_cap(self):
         with pytest.raises(ValueError):
             EndpointConfig(base_url="http://x", model_name="m", parallelism=64)
+
+
+def _snapshot(directory):
+    """Every file in `directory`, by name, as its bytes and modification time."""
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+
+# Puts numbered records until killed, printing each key once `put` has returned.
+_PUT_LOOP = """
+import sys
+from trc_toolkit.client import ResponseCache
+cache = ResponseCache(sys.argv[1])
+for i in range(100_000):
+    key = f"k{i:05d}"
+    cache.put(key, {"prompt_hash": key, "raw_completion": "é" * (i % 97)})
+    print(key, flush=True)
+"""
+
+
+class TestResponseCacheFile:
+    def test_cold_run_writes_one_file(self, endpoint, tmp_path):
+        with ResponseCache(tmp_path / "cache") as cache:
+            collect_responses(PROMPTS, config_for(endpoint), cache)
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["cache.jsonl"]
+        lines = (tmp_path / "cache" / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(PROMPTS)
+
+    def test_sharded_layout_is_read_but_not_written(self, endpoint, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        cached, fresh = PROMPTS[:3], PROMPTS[3:]
+        for _, _, prompt in cached:  # the layout of one file per two-hex-digit key prefix
+            key = prompt_hash("test-model", prompt)
+            with (cache_dir / f"{key[:2]}.jsonl").open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"prompt_hash": key, "raw_completion": f"old {prompt}",
+                                     "latency": 0.5, "model_name": "test-model"},
+                                    ensure_ascii=False) + "\n")
+        legacy = _snapshot(cache_dir)
+        with ResponseCache(cache_dir) as cache:
+            records = collect_responses(PROMPTS, config_for(endpoint), cache)
+        assert sorted(endpoint.prompts) == [p for _, _, p in fresh]
+        assert [r.raw_completion for r in records[:3]] == [f"old {p}" for _, _, p in cached]
+        after = _snapshot(cache_dir)
+        assert {name: after[name] for name in legacy} == legacy
+        assert set(after) == set(legacy) | {"cache.jsonl"}
+        written = [json.loads(line) for line in after["cache.jsonl"][0].splitlines()]
+        assert sorted(r["prompt_hash"] for r in written) == \
+            sorted(prompt_hash("test-model", p) for _, _, p in fresh)
+
+    def test_warm_collect_touches_nothing(self, endpoint, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with ResponseCache(cache_dir) as cache:
+            collect_responses(PROMPTS, config_for(endpoint), cache)
+        before, served = _snapshot(cache_dir), endpoint.requests
+        with ResponseCache(cache_dir) as cache:
+            collect_responses(PROMPTS, config_for(endpoint), cache)
+        assert endpoint.requests == served
+        assert _snapshot(cache_dir) == before
+
+    @pytest.mark.parametrize("cut", [1, 5], ids=["newline", "record"])
+    def test_put_after_truncated_live_file_is_its_own_line(self, tmp_path, cut):
+        cache_dir = tmp_path / "cache"
+        with ResponseCache(cache_dir) as cache:
+            for key in ("k1", "k2"):
+                cache.put(key, {"prompt_hash": key})
+        live = cache_dir / "cache.jsonl"
+        live.write_bytes(live.read_bytes()[:-cut])  # cut k2's newline, or into k2 itself
+        keys = ["k1", "k2", "k3"] if cut == 1 else ["k1", "k3"]
+        with ResponseCache(cache_dir) as cache:
+            assert len(cache) == len(keys) - 1
+            cache.put("k3", {"prompt_hash": "k3"})
+        with ResponseCache(cache_dir) as reloaded:
+            assert [reloaded.get(k) for k in keys] == [{"prompt_hash": k} for k in keys]
+            assert len(reloaded) == len(keys)
+        assert live.read_text().splitlines()[-1] == '{"prompt_hash": "k3"}'
+
+    def test_killed_writer_keeps_every_returned_put(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        package_root = str(Path(trc_toolkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-c", _PUT_LOOP, str(cache_dir)], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        watchdog = threading.Timer(10, proc.kill)
+        watchdog.start()
+        try:
+            printed = []
+            while len(printed) < 50:
+                line = proc.stdout.readline()
+                if not line:
+                    break
+                printed.append(line.strip())
+            proc.kill()
+            rest, err = proc.communicate(timeout=10)
+        finally:
+            watchdog.cancel()
+        assert len(printed) >= 50, err
+        printed += rest.split()
+        with ResponseCache(cache_dir) as reloaded:
+            for key in printed:
+                i = int(key[1:])
+                assert reloaded.get(key) == {"prompt_hash": key, "raw_completion": "é" * (i % 97)}
+            reloaded.put("after", {"prompt_hash": "after"})
+        with ResponseCache(cache_dir) as reloaded:
+            assert reloaded.get("after") == {"prompt_hash": "after"}
+            assert all(reloaded.get(key) is not None for key in printed)
 
 
 class TestPromptHash:
