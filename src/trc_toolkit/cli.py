@@ -13,8 +13,8 @@ import click
 
 from . import client as client_mod
 from . import prompting, querygen, translation
-from .errors import DuplicateResponse, ToolkitError
-from .manifest import read_jsonl, write_json, write_jsonl, write_manifest
+from .errors import DuplicateResponse, MalformedRecord, ToolkitError
+from .manifest import json_type, read_jsonl, write_json, write_jsonl, write_manifest, write_text
 from .metrics import EvalReport, ResponsePair, evaluate
 from .querygen import BenchmarkInstance
 from .report import build_report, format_text_report
@@ -136,7 +136,7 @@ def prompt(dataset, pool, style_flag, shots, reference, seed, output, preview):
         })
     write_jsonl(output, rows)
     if preview and rows:
-        Path(preview).write_text(rows[0]["prompt"] + "\n", encoding="utf-8")
+        write_text(preview, rows[0]["prompt"] + "\n")
     inputs = [dataset] + ([pool] if pool else [])
     _finish({"style": style.kind, "shots": style.shots, "reference": reference},
             inputs, [output], f"wrote {len(rows)} prompts -> {output}", seed)
@@ -181,7 +181,8 @@ def _group_responses(rows) -> list[ResponsePair]:
     """Pair each instance's two arms; a row with an error is no answer.
 
     A second row for one (instance id, reference kind) is rejected, since
-    nothing tells which of the two to score.
+    nothing tells which of the two to score, and so is an answer that is
+    not a string in a row without an error.
     """
     seen: set[tuple[str, str]] = set()
     arms: dict[str, dict[str, str]] = {}
@@ -192,6 +193,9 @@ def _group_responses(rows) -> list[ResponsePair]:
         seen.add(key)
         if row.get("error"):
             continue
+        if not isinstance(row["answer"], str):
+            raise MalformedRecord(f"{key[1]} response for instance {key[0]!r} has a "
+                                  f"{json_type(row['answer'])} answer, expected string")
         arms.setdefault(row["instance_id"], {})[row["reference_kind"]] = row["answer"]
     pairs = []
     for instance_id, answers in arms.items():
@@ -231,7 +235,7 @@ def report_cmd(report_path, dataset, compare, output):
     text_path = Path(f"{output}.txt")
     text = format_text_report(doc)
     write_json(json_path, doc)
-    text_path.write_text(text, encoding="utf-8")
+    write_text(text_path, text)
     inputs = [report_path, dataset] + ([compare] if compare else [])
     _finish({"compare": bool(compare)}, inputs, [json_path, text_path], text)
 

@@ -2,8 +2,8 @@
 
 Requests POST to {base_url}/chat/completions with the usual body
 (model/messages/temperature/max_tokens); the API key comes from the
-TRC_API_KEY environment variable. Each worker thread keeps one keep-alive
-connection for the length of a `collect_responses` call.
+TRC_API_KEY environment variable. `collect_responses` runs one loop per
+worker thread, and each worker owns one keep-alive connection.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import threading
 import time
 import urllib.request
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,13 +182,12 @@ def _retry_after(value: Optional[str]) -> float:
 
 
 class _Transport:
-    """Keep-alive connections to one endpoint, one per worker thread.
+    """Where and how to reach one endpoint; each worker opens its own connection.
 
     The endpoint is reached through the proxy that the environment names for
     its scheme (HTTP_PROXY, HTTPS_PROXY) unless NO_PROXY matches its host:
     an http:// URL as an absolute-form request to the proxy, an https:// URL
     through a CONNECT tunnel. TLS uses `ssl.create_default_context()`.
-    Every connection is closed by `close()`.
     """
 
     def __init__(self, base_url: str, timeout: float):
@@ -198,6 +196,9 @@ class _Transport:
         self.port = url.port or (443 if url.scheme == "https" else 80)
         self.target = url.path
         self.headers = {"Content-Type": "application/json"}
+        api_key = os.environ.get(API_KEY_ENV)
+        if api_key:
+            self.headers["Authorization"] = f"Bearer {api_key}"
         self._timeout = timeout
         self._context = ssl.create_default_context() if url.scheme == "https" else None
         self._proxy = None
@@ -216,10 +217,9 @@ class _Transport:
             else:
                 self.target = f"http://{url.netloc}{self.target}"
                 self.headers.update(auth)
-        self._local = threading.local()
-        self._connections: list[http.client.HTTPConnection] = []
 
-    def _open(self) -> http.client.HTTPConnection:
+    def open(self) -> http.client.HTTPConnection:
+        """A keep-alive connection; it connects on its first request."""
         host, port = self._proxy or (self.host, self.port)
         if self._context is None:
             return http.client.HTTPConnection(host, port, timeout=self._timeout)
@@ -228,25 +228,6 @@ class _Transport:
         if self._proxy:
             conn.set_tunnel(self.host, self.port, headers=self._tunnel_headers)
         return conn
-
-    def connection(self) -> http.client.HTTPConnection:
-        """This thread's connection, closed first if the server dropped it.
-
-        An idle keep-alive socket that polls readable has either been closed
-        by the server or holds bytes nobody asked for; either way it is not
-        reused, and the next request opens a fresh one.
-        """
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._open()
-            self._connections.append(conn)
-        elif conn.sock is not None and _readable(conn.sock):
-            conn.close()
-        return conn
-
-    def close(self):
-        for conn in self._connections:
-            conn.close()
 
 
 def _readable(sock) -> bool:
@@ -258,12 +239,12 @@ def _readable(sock) -> bool:
     return bool(poller.poll(0))
 
 
-def _request_completion(prompt: str, config: EndpointConfig,
-                        transport: _Transport) -> _Attempt:
-    headers = dict(transport.headers)
-    api_key = os.environ.get(API_KEY_ENV)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
+def _request_completion(prompt: str, config: EndpointConfig, transport: _Transport,
+                        conn: http.client.HTTPConnection) -> _Attempt:
+    # An idle keep-alive socket that polls readable was closed by the server or
+    # holds bytes nobody asked for: close it, and this request opens a new one.
+    if conn.sock is not None and _readable(conn.sock):
+        conn.close()
     body = json.dumps({
         "model": config.model_name,
         "messages": [{"role": "user", "content": prompt}],
@@ -271,9 +252,8 @@ def _request_completion(prompt: str, config: EndpointConfig,
         "max_tokens": config.max_new_tokens,
     }).encode("utf-8")
     started = time.monotonic()
-    conn = transport.connection()
     try:
-        conn.request("POST", transport.target, body, headers)
+        conn.request("POST", transport.target, body, transport.headers)
         resp = conn.getresponse()
         payload = resp.read()
     except (OSError, http.client.HTTPException) as exc:
@@ -302,68 +282,87 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
 
     Cache hits skip the network entirely; failures that outlive the retry
     budget become error-marked records instead of aborting the batch. Output
-    order matches input order. A failed prompt waits out its backoff on a
-    deadline queue while the worker slots serve other prompts; `sleep` is
-    called only when nothing else is left to run before the next retry is due.
+    order matches input order. Up to `config.parallelism` threads, each with
+    its own connection, loop: send a due retry, else a fresh prompt, else wait
+    out the earliest backoff through `sleep` (so `sleep` may run on a worker
+    thread) and send that retry, else stop. The first exception in a worker
+    (AuthFailure, or one from `cache.put`) or in the wait for them (Ctrl-C) is
+    raised once all have stopped: 401/403 stops the run after the requests
+    already in flight and any backoff a worker is already waiting out.
     """
     keys = [prompt_hash(config.model_name, p) for _, _, p in prompts]
-    pending = [i for i, key in enumerate(keys) if cache.get(key) is None]
+    fresh = deque(i for i, key in enumerate(keys) if cache.get(key) is None)
     errors: dict[int, str] = {}
 
-    if pending:
-        fresh = deque(pending)
+    if fresh:
+        transport = _Transport(config.base_url, config.timeout)
         retries: list[tuple[float, int]] = []  # heap of (deadline, index)
         tries: dict[int, int] = {}  # failed attempts so far, per index
         rngs: dict[int, random.Random] = {}
-        running: dict[Future, int] = {}
-        # The pool exits first: its threads are done before their connections close.
-        with closing(_Transport(config.base_url, config.timeout)) as transport, \
-                ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            def submit(index: int):
-                running[pool.submit(_request_completion, prompts[index][2],
-                                    config, transport)] = index
+        failures: list[BaseException] = []  # the first one is raised
+        live = min(config.parallelism, len(fresh))  # workers not yet stopped
+        lock = threading.Condition()  # guards all of the above, and `fresh`
 
-            while fresh or retries or running:
-                while len(running) < config.parallelism:
-                    if retries and retries[0][0] <= time.monotonic():
-                        submit(heapq.heappop(retries)[1])
-                    elif fresh:
-                        submit(fresh.popleft())
-                    else:
-                        break
-                if not running:  # only retries are left and none is due yet
-                    deadline, index = heapq.heappop(retries)
-                    sleep(max(0.0, deadline - time.monotonic()))
-                    submit(index)
-                timeout = None
-                if retries and len(running) < config.parallelism:
-                    timeout = max(0.0, retries[0][0] - time.monotonic())
-                done, _ = wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = running.pop(future)
-                    attempt = future.result()
-                    if attempt.error is None:
-                        cache.put(keys[index], {
-                            "prompt_hash": keys[index],
-                            "raw_completion": attempt.raw,
-                            "latency": attempt.latency,
-                            "model_name": config.model_name,
-                        })
-                        continue
-                    failed = tries.get(index, 0)
-                    if failed < config.retry_limit:
-                        if not failed:
-                            rngs[index] = random.Random(f"{seed}:{index}")
-                        delay = max(_backoff(failed, rngs[index]), attempt.retry_after)
-                        heapq.heappush(retries, (time.monotonic() + delay, index))
-                        tries[index] = failed + 1
-                    else:
-                        errors[index] = attempt.error
+        def work():
+            nonlocal live
+            try:
+                with closing(transport.open()) as conn:
+                    while True:
+                        with lock:
+                            if failures or not (fresh or retries):
+                                return
+                            if retries and (retries[0][0] <= time.monotonic() or not fresh):
+                                deadline, index = heapq.heappop(retries)
+                            else:
+                                deadline, index = 0.0, fresh.popleft()
+                        wait = deadline - time.monotonic()
+                        if wait > 0:  # nothing else to send before this retry is due
+                            sleep(wait)
+                            if failures:
+                                return
+                        attempt = _request_completion(prompts[index][2], config, transport, conn)
+                        if attempt.error is None:
+                            cache.put(keys[index], {
+                                "prompt_hash": keys[index], "raw_completion": attempt.raw,
+                                "latency": attempt.latency, "model_name": config.model_name})
+                            continue
+                        with lock:
+                            failed = tries.get(index, 0)
+                            if failed < config.retry_limit:
+                                if not failed:
+                                    rngs[index] = random.Random(f"{seed}:{index}")
+                                delay = max(_backoff(failed, rngs[index]), attempt.retry_after)
+                                heapq.heappush(retries, (time.monotonic() + delay, index))
+                                tries[index] = failed + 1
+                            else:
+                                errors[index] = attempt.error
+            except BaseException as exc:
+                failures.append(exc)
+            finally:
+                with lock:
+                    live -= 1
+                    lock.notify()
+
+        workers = [threading.Thread(target=work, name=f"collect-{k}") for k in range(live)]
+        for worker in workers:
+            worker.start()
+        # Not `Thread.join`: on Python 3.11 a join cut short by Ctrl-C marks
+        # the thread stopped, and joining it again returns at once.
+        with lock:
+            try:
+                lock.wait_for(lambda: not live)
+            except BaseException as exc:  # Ctrl-C: let the requests in flight finish
+                failures.append(exc)
+                lock.wait_for(lambda: not live)
+        for worker in workers:  # each one has left `work` already
+            worker.join()
+        if failures:
+            raise failures[0]
 
     records = []
     for index, ((instance_id, reference_kind, _prompt), key) in enumerate(zip(prompts, keys)):
         cached = cache.get(key)
-        if cached is None:  # a pending index not in the cache ran out of retries
+        if cached is None:  # a fresh index that ran out of retries
             raw, latency, error = "", 0.0, errors[index]
         else:
             raw, latency, error = cached["raw_completion"], cached.get("latency", 0.0), None

@@ -5,6 +5,10 @@ class ToolkitError(Exception):
     """Base class for all toolkit errors."""
 
 
+class MalformedRecord(ToolkitError):
+    """An input row whose field holds a JSON type the toolkit cannot use."""
+
+
 # --- time / fact-context parsing ---
 
 class UnknownMonth(ToolkitError):

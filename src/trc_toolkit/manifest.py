@@ -38,6 +38,15 @@ class JsonRecord:
         return cls(**{name: record[name] for name in _field_names(cls)})
 
 
+_JSON_TYPES = {str: "string", int: "number", float: "number", bool: "boolean",
+               type(None): "null", list: "array", dict: "object"}
+
+
+def json_type(value) -> str:
+    """The JSON name of a decoded value's type: string, number, null, ..."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     with Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
@@ -66,10 +75,15 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def write_json(path: str | Path, doc) -> None:
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` as UTF-8, creating the parent directories first."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+
+
+def write_json(path: str | Path, doc) -> None:
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def write_manifest(command: str, config: dict, inputs: list[str | Path],

@@ -18,13 +18,14 @@ from . import kb
 from .errors import (
     DuplicateInstanceId,
     GoldAnswerMismatch,
+    MalformedRecord,
     ReferenceEventNotFound,
     SampleTooLarge,
     SlotUnresolved,
     ToolkitError,
 )
 from .kb import BEFORE, TemporalFact, neighbor_fact, parse_fact_context
-from .manifest import JsonRecord
+from .manifest import JsonRecord, json_type
 from .relations import RelationSpec, normalize_relation, relation_spec
 
 
@@ -106,17 +107,31 @@ def reference_span(query: str) -> str:
     return _reference_after(query, _direction_match(query).end())
 
 
+# The JSON types of each source field. A missing required field is a KeyError;
+# a null or empty id or answer is derived, and a numeric id becomes a string.
+_SOURCE_TYPES = {
+    "question": ("string",), "subject": ("string",), "relation": ("string",),
+    "fact_context": ("string",), "language": ("string",),
+    "answer": ("string", "null"), "id": ("string", "number", "null"),
+}
+
+
 def build_instance(record: dict, language: str = "en", *,
                    _timelines: dict | None = None) -> BenchmarkInstance:
     """Run the full construction pipeline on one raw source record.
 
     Expects keys: question, subject, relation, fact_context; optional id,
-    answer, language. Raises toolkit errors with the instance id attached.
-    `_timelines` is `build_dataset`'s memo of the fact contexts it parsed.
+    answer, language. A field of another JSON type raises MalformedRecord.
+    Raises toolkit errors with the instance id attached. `_timelines` is
+    `build_dataset`'s memo of the fact contexts it parsed.
     """
     instance_id = str(record.get("id") or _derive_id(record))
     timelines = {} if _timelines is None else _timelines
     try:
+        for name, allowed in _SOURCE_TYPES.items():
+            if name in record and json_type(record[name]) not in allowed:
+                raise MalformedRecord(f"field {name!r} is {json_type(record[name])}, "
+                                      f"expected {' or '.join(allowed)}")
         return _build_instance(record, instance_id, record.get("language", language), timelines)
     except ToolkitError as exc:
         exc.instance_id = instance_id

@@ -128,6 +128,16 @@ class TestPrompt:
         row = next(read_jsonl(workspace / "prompts_zero.jsonl"))
         assert row["prompt"].count("Question:") == 1
 
+    def test_preview_into_missing_directory(self, workspace):
+        preview = workspace / "missing" / "dir" / "p.txt"
+        result = trc("prompt", "--dataset", workspace / "data.jsonl", "--style", "zero",
+                     "--shots", 0, "--output", workspace / "prompts_preview.jsonl",
+                     "--preview", preview)
+        assert result.returncode == 0, result.stderr
+        first = next(read_jsonl(workspace / "prompts_preview.jsonl"))
+        assert preview.read_text(encoding="utf-8") == first["prompt"] + "\n"
+        assert (workspace / "prompts_preview.jsonl.manifest.json").exists()
+
 
 @pytest.fixture(scope="module")
 def scored(workspace):
@@ -210,6 +220,21 @@ class TestEvaluateAndReport:
         assert result.stderr == (f"error: second chronological response for instance "
                                  f"{instances[2]['id']!r}\n")
         assert not (workspace / "eval_duplicated.json").exists()
+
+    def test_null_answer_exits_1(self, workspace):
+        instances = list(read_jsonl(workspace / "data.jsonl"))
+        responses = [{"instance_id": inst["id"], "reference_kind": kind,
+                      "answer": inst["answer"], "raw_completion": inst["answer"], "error": None}
+                     for inst in instances for kind in ("absolute", "chronological")]
+        responses[3]["answer"] = None  # the second instance's chronological arm
+        write_jsonl(workspace / "null_answer.jsonl", responses)
+        result = trc("evaluate", "--dataset", workspace / "data.jsonl",
+                     "--responses", workspace / "null_answer.jsonl",
+                     "--output", workspace / "eval_null_answer.json")
+        assert result.returncode == 1
+        assert result.stderr == (f"error: chronological response for instance "
+                                 f"{instances[1]['id']!r} has a null answer, expected string\n")
+        assert not (workspace / "eval_null_answer.json").exists()
 
     def test_repeated_dataset_id_exits_1(self, scored):
         instances = list(read_jsonl(scored / "data.jsonl"))

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -139,6 +140,27 @@ def endpoint():
 def cache(tmp_path):
     with ResponseCache(tmp_path / "cache") as cache:
         yield cache
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread that the test's own thread starts from here on.
+
+    The mock's handler threads are started by its server thread, so they
+    are left out; they may linger on idle keep-alive sockets. Check them with
+    `threading.enumerate()`, not `is_alive()`: on Python 3.11 a join cut short
+    by Ctrl-C marks a thread stopped while it still runs.
+    """
+    caller, started = threading.current_thread(), []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        if threading.current_thread() is caller:
+            started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
 
 
 def config_for(endpoint, **overrides):
@@ -280,6 +302,39 @@ class TestCollectResponses:
         with pytest.raises(AuthFailure):
             collect_responses(PROMPTS[:1], config_for(endpoint, parallelism=1), cache)
         assert endpoint.requests == 1  # no retries on auth errors
+
+    def test_failed_put_stops_every_worker(self, endpoint, tmp_path, started_threads):
+        class FullDisk(ResponseCache):
+            def put(self, key, record):
+                # Fail only once both slots' requests have reached the endpoint.
+                deadline = time.monotonic() + 5
+                while endpoint.requests < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise OSError(28, "No space left on device")
+
+        many = [(f"p{k}", "absolute", f"prompt {k}") for k in range(20)]
+        with FullDisk(tmp_path / "cache") as cache:
+            with pytest.raises(OSError, match="No space left on device"):
+                collect_responses(many, config_for(endpoint, parallelism=2), cache)
+        assert endpoint.requests == 2
+        assert started_threads and not set(started_threads) & set(threading.enumerate())
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_interrupt_stops_every_worker(self, endpoint, tmp_path, started_threads):
+        endpoint.delay = 0.05
+
+        class CtrlC(ResponseCache):
+            def put(self, key, record):
+                super().put(key, record)
+                if len(self) == 3:  # the calling thread is waiting for the worker
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        many = [(f"p{k}", "absolute", f"prompt {k}") for k in range(40)]
+        with CtrlC(tmp_path / "cache") as cache:
+            with pytest.raises(KeyboardInterrupt):
+                collect_responses(many, config_for(endpoint, parallelism=1), cache)
+        assert endpoint.requests < len(many)
+        assert started_threads and not set(started_threads) & set(threading.enumerate())
 
     def test_bounded_concurrency(self, endpoint, cache):
         endpoint.delay = 0.05

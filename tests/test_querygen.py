@@ -273,6 +273,34 @@ class TestSyntheticBatch:
         assert [s["id"] for s in skips] == ["inverted"]
         assert skips[0]["reason"].startswith("InvertedInterval: sentence 0:")
 
+    @pytest.mark.parametrize("field, value, got", [
+        ("subject", None, "null"),
+        ("fact_context", None, "null"),
+        ("question", 7, "number"),
+        ("relation", 5, "number"),
+        ("language", None, "null"),
+        ("language", 5, "number"),
+        ("answer", ["Valparaiso University"], "array"),
+    ])
+    def test_wrong_typed_field_is_skipped_not_fatal(self, pelikan_record, field, value, got):
+        malformed = dict(pelikan_record, id="x", **{field: value})
+        instances, skips = build_dataset([pelikan_record, malformed])
+        assert [inst.id for inst in instances] == ["pelikan-1"]
+        expected = "string or null" if field == "answer" else "string"
+        assert skips == [{"id": "x", "reason":
+                          f"MalformedRecord: field {field!r} is {got}, expected {expected}"}]
+
+    @pytest.mark.parametrize("value, got", [(True, "boolean"), ({"k": 1}, "object")])
+    def test_wrong_typed_id_is_skipped(self, pelikan_record, value, got):
+        instances, skips = build_dataset([dict(pelikan_record, id=value)])
+        assert instances == []
+        assert skips[0]["reason"] == \
+            f"MalformedRecord: field 'id' is {got}, expected string or number or null"
+
+    def test_numeric_id_becomes_a_string(self, pelikan_record):
+        instances, skips = build_dataset([dict(pelikan_record, id=17)])
+        assert [inst.id for inst in instances] == ["17"] and skips == []
+
     def test_duplicate_ids_are_skipped(self):
         records = make_records(make_timelines(20, seed=5))
         buildable = len(build_dataset(records)[0])
