@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -14,7 +15,7 @@ import click
 from . import client as client_mod
 from . import prompting, querygen, translation
 from .errors import DuplicateResponse, MalformedRecord, ToolkitError
-from .manifest import json_type, read_jsonl, write_json, write_jsonl, write_manifest, write_text
+from .manifest import JsonRecord, read_jsonl, write_json, write_jsonl, write_manifest, write_text
 from .metrics import EvalReport, ResponsePair, evaluate
 from .querygen import BenchmarkInstance
 from .report import build_report, format_text_report
@@ -27,10 +28,6 @@ STYLE_BY_FLAG = {
     "semantic-icl": "semantic_icl",
     "semantic-cot": "semantic_cot",
 }
-
-
-def _load_dataset(path: str) -> list[BenchmarkInstance]:
-    return [BenchmarkInstance.from_dict(r) for r in read_jsonl(path)]
 
 
 def _load_report(path: str) -> EvalReport:
@@ -77,7 +74,7 @@ def build(source, output, language, skip_log):
 @click.option("--output", required=True, type=click.Path())
 def pairs(dataset, n, seed, output):
     """Export consistency-task pairs (n positive + n antagonist)."""
-    instances = _load_dataset(dataset)
+    instances = list(read_jsonl(dataset, BenchmarkInstance))
     records = querygen.build_consistency_pairs(instances, n, seed)
     write_jsonl(output, (p.to_dict() for p in records))
     _finish({"n": n}, [dataset], [output], f"wrote {len(records)} pairs -> {output}", seed)
@@ -92,7 +89,7 @@ def pairs(dataset, n, seed, output):
 def export_sft(dataset, pairing, instruction, output):
     """Export instruction-tuning records under the chosen pathway pairing."""
     pairing_mode = "unilateral_absolute" if pairing == "unilateral" else "cross"
-    instances = _load_dataset(dataset)
+    instances = list(read_jsonl(dataset, BenchmarkInstance))
     records = prompting.export_sft(instances, pairing_mode, instruction)
     write_jsonl(output, (r.to_dict() for r in records))
     _finish({"pairing": pairing_mode, "instruction": instruction}, [dataset], [output],
@@ -116,9 +113,9 @@ def export_sft(dataset, pairing, instruction, output):
 def prompt(dataset, pool, style_flag, shots, reference, seed, output, preview):
     """Render evaluation prompts for every instance in the dataset."""
     style = prompting.PromptStyle(STYLE_BY_FLAG[style_flag], shots)
-    targets = _load_dataset(dataset)
+    targets = list(read_jsonl(dataset, BenchmarkInstance))
     by_language: dict[str, list[BenchmarkInstance]] = {}
-    for inst in _load_dataset(pool) if pool else targets:
+    for inst in read_jsonl(pool, BenchmarkInstance) if pool else targets:
         by_language.setdefault(inst.language, []).append(inst)
     pools = {lang: prompting.DemoPool(items) for lang, items in by_language.items()}
     no_pool = prompting.DemoPool([])
@@ -129,14 +126,11 @@ def prompt(dataset, pool, style_flag, shots, reference, seed, output, preview):
         candidates = pools.get(inst.language, no_pool).without(inst.id)
         demos = prompting.select_demonstrations(
             candidates, query, style, seed, reference_kind=reference)
-        rows.append({
-            "instance_id": inst.id,
-            "reference_kind": reference,
-            "prompt": prompting.render_prompt(query, demos, style, reference),
-        })
-    write_jsonl(output, rows)
+        rows.append(prompting.PromptRow(
+            inst.id, reference, prompting.render_prompt(query, demos, style, reference)))
+    write_jsonl(output, (row.to_dict() for row in rows))
     if preview and rows:
-        write_text(preview, rows[0]["prompt"] + "\n")
+        write_text(preview, rows[0].prompt + "\n")
     inputs = [dataset] + ([pool] if pool else [])
     _finish({"style": style.kind, "shots": style.shots, "reference": reference},
             inputs, [output], f"wrote {len(rows)} prompts -> {output}", seed)
@@ -164,8 +158,8 @@ def collect(prompts_path, endpoint, model, output, cache_dir, style_flag,
         max_new_tokens=max_new_tokens, parallelism=parallelism,
         retry_limit=retry_limit, timeout=timeout)
     style = prompting.PromptStyle(STYLE_BY_FLAG[style_flag])
-    prompt_rows = list(read_jsonl(prompts_path))
-    triples = [(r["instance_id"], r["reference_kind"], r["prompt"]) for r in prompt_rows]
+    triples = [(r.instance_id, r.reference_kind, r.prompt)
+               for r in read_jsonl(prompts_path, prompting.PromptRow)]
     with client_mod.ResponseCache(cache_dir) as cache:
         records = client_mod.collect_responses(triples, config, cache, style=style, seed=seed)
     write_jsonl(output, (r.to_dict() for r in records))
@@ -177,32 +171,36 @@ def collect(prompts_path, endpoint, model, output, cache_dir, style_flag,
         sys.exit(2)
 
 
-def _group_responses(rows) -> list[ResponsePair]:
-    """Pair each instance's two arms; a row with an error is no answer.
+@dataclass
+class _Response(JsonRecord):
+    """The fields of a response row that `evaluate` reads."""
+    instance_id: str
+    reference_kind: str
+    answer: str
+    error: str | None = None
 
-    A second row for one (instance id, reference kind) is rejected, since
-    nothing tells which of the two to score, and so is an answer that is
-    not a string in a row without an error.
+    def __post_init__(self):
+        if self.reference_kind not in prompting.REFERENCE_KINDS:
+            raise MalformedRecord(f"unknown reference kind {self.reference_kind!r}")
+
+
+def _group_responses(responses) -> list[ResponsePair]:
+    """Pair each instance's two arms; a response with an error is no answer.
+
+    A second response for one (instance id, reference kind) is rejected,
+    since nothing tells which of the two to score.
     """
     seen: set[tuple[str, str]] = set()
     arms: dict[str, dict[str, str]] = {}
-    for row in rows:
-        key = (row["instance_id"], row["reference_kind"])
+    for response in responses:
+        key = (response.instance_id, response.reference_kind)
         if key in seen:
             raise DuplicateResponse(f"second {key[1]} response for instance {key[0]!r}")
         seen.add(key)
-        if row.get("error"):
-            continue
-        if not isinstance(row["answer"], str):
-            raise MalformedRecord(f"{key[1]} response for instance {key[0]!r} has a "
-                                  f"{json_type(row['answer'])} answer, expected string")
-        arms.setdefault(row["instance_id"], {})[row["reference_kind"]] = row["answer"]
-    pairs = []
-    for instance_id, answers in arms.items():
-        if "absolute" in answers and "chronological" in answers:
-            pairs.append(ResponsePair(instance_id, answers["absolute"],
-                                      answers["chronological"]))
-    return pairs
+        if not response.error:
+            arms.setdefault(response.instance_id, {})[response.reference_kind] = response.answer
+    return [ResponsePair(instance_id, answers["absolute"], answers["chronological"])
+            for instance_id, answers in arms.items() if len(answers) == 2]  # both kinds
 
 
 @main.command("evaluate")
@@ -212,8 +210,8 @@ def _group_responses(rows) -> list[ResponsePair]:
 @click.option("--strict", is_flag=True, help="Compare raw strings, no normalization.")
 def evaluate_cmd(dataset, responses, output, strict):
     """Score collected responses against the dataset."""
-    instances = _load_dataset(dataset)
-    pairs = _group_responses(read_jsonl(responses))
+    instances = list(read_jsonl(dataset, BenchmarkInstance))
+    pairs = _group_responses(read_jsonl(responses, _Response))
     report = evaluate(instances, pairs, strict=strict)
     write_json(output, report.to_dict())
     _finish({"strict": strict}, [dataset, responses], [output],
@@ -229,7 +227,7 @@ def evaluate_cmd(dataset, responses, output, strict):
               help="Output stem; writes <stem>.json and <stem>.txt.")
 def report_cmd(report_path, dataset, compare, output):
     """Render the report document (JSON + fixed-width text)."""
-    doc = build_report(_load_report(report_path), _load_dataset(dataset),
+    doc = build_report(_load_report(report_path), list(read_jsonl(dataset, BenchmarkInstance)),
                        _load_report(compare) if compare else None)
     json_path = Path(f"{output}.json")
     text_path = Path(f"{output}.txt")
@@ -290,7 +288,7 @@ def mt_agree(hypothesis, reference, max_order, expected_lang, profiles, output):
 @click.option("--output", required=True, type=click.Path())
 def subsample(dataset, n, seed, output):
     """Seeded order-preserving subsample of a dataset."""
-    instances = _load_dataset(dataset)
+    instances = list(read_jsonl(dataset, BenchmarkInstance))
     chosen = querygen.subsample(instances, n, seed)
     write_jsonl(output, (inst.to_dict() for inst in chosen))
     _finish({"n": n}, [dataset], [output], f"wrote {len(chosen)} instances -> {output}", seed)

@@ -1,5 +1,6 @@
-"""JSON and JSONL I/O helpers and per-run manifests.
+"""JSON and JSONL I/O helpers, the one record rule, and per-run manifests.
 
+Every row read from a file is checked against its `JsonRecord` annotations.
 Every CLI invocation writes one manifest beside its primary output so a run
 can be audited and reproduced: content digests of inputs and config, the seed,
 and the toolkit version.
@@ -9,34 +10,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields
+import types
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
+from .errors import MalformedRecord
 
 # `json.dumps` with a keyword argument builds a new encoder per call; every
 # JSONL row (outputs and the response cache) goes through this one instead.
 encode_json = json.JSONEncoder(ensure_ascii=False).encode
-
-
-@cache  # `fields()` builds a new tuple per call; datasets convert record by record
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-class JsonRecord:
-    """Base for dataclasses stored as one JSON object, keys in field order."""
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _field_names(type(self))}
-
-    @classmethod
-    def from_dict(cls, record: dict):
-        """Ignores extra keys; a missing field raises KeyError."""
-        return cls(**{name: record[name] for name in _field_names(cls)})
-
 
 _JSON_TYPES = {str: "string", int: "number", float: "number", bool: "boolean",
                type(None): "null", list: "array", dict: "object"}
@@ -47,12 +32,62 @@ def json_type(value) -> str:
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
+@cache  # resolved once per class; datasets convert record by record
+def _fields(cls) -> dict[str, tuple[tuple[type, ...], str, object]]:
+    """Each field's name -> (accepted value types, their JSON names, default).
+    A float takes an int too; an annotation without a JSON type raises TypeError."""
+    hints, out = get_type_hints(cls), {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        members = get_args(hint) if get_origin(hint) in (Union, types.UnionType) else (hint,)
+        accepted, names = [], []
+        for member in members:
+            base = get_origin(member) or member   # dict[str, ...] is an object
+            if base not in _JSON_TYPES:
+                raise TypeError(f"{cls.__name__}.{f.name}: {member!r} has no JSON type")
+            accepted += [base, int] if base is float else [base]
+            names.append("integer" if base is int else _JSON_TYPES[base])
+        out[f.name] = tuple(accepted), " or ".join(dict.fromkeys(names)), f.default
+    return out
+
+
+class JsonRecord:
+    """Base for dataclasses stored as one JSON object, keys in field order."""
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in _fields(type(self))}
+
+    @classmethod
+    def from_dict(cls, record):
+        """Ignores extra keys. A missing field takes its default or raises KeyError;
+        a row that is not an object, or a value of another JSON type, MalformedRecord."""
+        if type(record) is not dict:
+            raise MalformedRecord(f"row is {json_type(record)}, expected object")
+        values = {}
+        for name, (accepted, expected, default) in _fields(cls).items():
+            if name not in record:   # without a default, record[name] raises KeyError
+                values[name] = record[name] if default is MISSING else default
+            elif type(value := record[name]) not in accepted:
+                raise MalformedRecord(f"field {name!r} is {json_type(value)}, expected {expected}")
+            else:
+                values[name] = value
+        return cls(**values)
+
+
+def read_jsonl(path: str | Path, cls: type[JsonRecord] | None = None) -> Iterator:
+    """Each line's JSON value, or with `cls` its record; an error names the line."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                row = row if cls is None else cls.from_dict(row)
+            except (ValueError, MalformedRecord) as exc:   # JSONDecodeError is a ValueError
+                raise MalformedRecord(f"{path}:{number}: {exc}") from exc
+            except KeyError as exc:
+                raise MalformedRecord(f"{path}:{number}: field {exc.args[0]!r} is missing") from exc
+            yield row
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import statistics
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -159,8 +159,8 @@ class EvalReport(JsonRecord):
     trc: float
     trcf: float
     m: int
-    per_entity: dict[str, tuple[float, float, int]] = field(default_factory=dict)
-    per_language: dict[str, tuple[float, float, int]] = field(default_factory=dict)
+    per_entity: dict[str, tuple[float, float, int]]
+    per_language: dict[str, tuple[float, float, int]]
 
 
 def evaluate(dataset: Sequence[BenchmarkInstance], pairs: Sequence[ResponsePair],

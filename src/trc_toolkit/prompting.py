@@ -57,6 +57,14 @@ class SftRecord(JsonRecord):
     pairing: str
 
 
+@dataclass
+class PromptRow(JsonRecord):
+    """One rendered prompt: what `trc prompt` writes and `trc collect` reads."""
+    instance_id: str
+    reference_kind: str
+    prompt: str
+
+
 _TOKEN_RX = re.compile(r"[^\w\s]")
 
 

@@ -3,7 +3,8 @@
 From each raw event-event source record this produces one benchmark instance:
 a chronological query (anchored on an event), an absolute query (same wording,
 anchored on the event's boundary time), the gold answer, and the two
-rationale sentences that connect them.
+rationale sentences that connect them. A source row is read as a
+`SourceRecord`, so a field of the wrong JSON type is a MalformedRecord.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from . import kb
 from .errors import (
     DuplicateInstanceId,
     GoldAnswerMismatch,
-    MalformedRecord,
     ReferenceEventNotFound,
     SampleTooLarge,
     SlotUnresolved,
     ToolkitError,
 )
 from .kb import BEFORE, TemporalFact, neighbor_fact, parse_fact_context
-from .manifest import JsonRecord, json_type
+from .manifest import JsonRecord
 from .relations import RelationSpec, normalize_relation, relation_spec
 
 
@@ -107,39 +107,41 @@ def reference_span(query: str) -> str:
     return _reference_after(query, _direction_match(query).end())
 
 
-# The JSON types of each source field. A missing required field is a KeyError;
-# a null or empty id or answer is derived, and a numeric id becomes a string.
-_SOURCE_TYPES = {
-    "question": ("string",), "subject": ("string",), "relation": ("string",),
-    "fact_context": ("string",), "language": ("string",),
-    "answer": ("string", "null"), "id": ("string", "number", "null"),
-}
+@dataclass
+class SourceRecord(JsonRecord):
+    """One raw source row. A null or empty id or answer is derived, and a
+    numeric id becomes a string; an absent language is the batch's."""
+    question: str
+    subject: str
+    relation: str
+    fact_context: str
+    language: str = None   # absent: the batch's; an explicit null is refused
+    answer: str | None = None
+    id: str | float | None = None
 
 
 def build_instance(record: dict, language: str = "en", *,
                    _timelines: dict | None = None) -> BenchmarkInstance:
-    """Run the full construction pipeline on one raw source record.
+    """Run the full construction pipeline on one raw source row.
 
-    Expects keys: question, subject, relation, fact_context; optional id,
-    answer, language. A field of another JSON type raises MalformedRecord.
-    Raises toolkit errors with the instance id attached. `_timelines` is
-    `build_dataset`'s memo of the fact contexts it parsed.
+    The row is read as a `SourceRecord` (MalformedRecord, or KeyError for a
+    missing field). Past that, toolkit errors and the KeyError of an unknown
+    relation carry the instance id. `_timelines` is `build_dataset`'s memo
+    of the fact contexts it parsed.
     """
-    instance_id = str(record.get("id") or _derive_id(record))
-    timelines = {} if _timelines is None else _timelines
+    source = SourceRecord.from_dict(record)
+    instance_id = str(source.id or _derive_id(source))
+    language = language if source.language is None else source.language
     try:
-        for name, allowed in _SOURCE_TYPES.items():
-            if name in record and json_type(record[name]) not in allowed:
-                raise MalformedRecord(f"field {name!r} is {json_type(record[name])}, "
-                                      f"expected {' or '.join(allowed)}")
-        return _build_instance(record, instance_id, record.get("language", language), timelines)
-    except ToolkitError as exc:
+        return _build_instance(source, instance_id, language,
+                               {} if _timelines is None else _timelines)
+    except (ToolkitError, KeyError) as exc:
         exc.instance_id = instance_id
         raise
 
 
-def _derive_id(record: dict) -> str:
-    payload = "\x00".join(str(record.get(k, "")) for k in ("subject", "relation", "question"))
+def _derive_id(source: SourceRecord) -> str:
+    payload = "\x00".join((source.subject, source.relation, source.question))
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
 
 
@@ -150,17 +152,17 @@ def _pathway(anchor: TemporalFact, direction: str, reference: str,
             f"{answer_fact.sentence(with_times=False)}.").lower()
 
 
-def _build_instance(record: dict, instance_id: str, language: str,
+def _build_instance(source: SourceRecord, instance_id: str, language: str,
                     timelines: dict) -> BenchmarkInstance:
-    relation = normalize_relation(record["relation"])
-    subject = record["subject"].strip()
-    key = (record["fact_context"], subject, relation)
+    relation = normalize_relation(source.relation)
+    subject = source.subject.strip()
+    key = (source.fact_context, subject, relation)
     if key not in timelines:   # a context that fails to parse is not kept
         timelines[key] = parse_fact_context(*key)
     timeline = timelines[key]
 
     # The chronological query always reads "right before/after <event>".
-    question = record["question"].strip()
+    question = source.question.strip()
     m = _direction_match(question)
     direction = m.group(2)
     prefix = question[: m.start()] + ("" if m.group(1) else "right ") + m.group(0)
@@ -176,7 +178,7 @@ def _build_instance(record: dict, instance_id: str, language: str,
     # below is set whenever the direction is "after".
     answer_fact = neighbor_fact(timeline, anchor_idx, direction)
 
-    answer = str(record.get("answer") or answer_fact.object).strip()
+    answer = (source.answer or answer_fact.object).strip()
     if answer.lower() != answer_fact.object.lower():
         raise GoldAnswerMismatch(
             f"gold answer {answer!r} does not match {direction} neighbor {answer_fact.object!r}")
@@ -194,7 +196,7 @@ def _build_instance(record: dict, instance_id: str, language: str,
         answer=answer,
         pathway_time_oriented=_pathway(anchor, direction, boundary, answer_fact),
         pathway_event_oriented=_pathway(anchor, direction, anchor.object, answer_fact),
-        fact_context=" ".join(record["fact_context"].split()),
+        fact_context=" ".join(source.fact_context.split()),
     )
 
 
@@ -219,10 +221,10 @@ def build_dataset(records: Iterable[dict], language: str = "en",
             if instance.id in built:
                 raise DuplicateInstanceId(instance.id)
         except (ToolkitError, KeyError) as exc:
-            skips.append({
-                "id": getattr(exc, "instance_id", str(record.get("id", ""))),
-                "reason": f"{type(exc).__name__}: {exc}",
-            })
+            # a row that did not convert has no instance id: log the id it holds
+            row_id = str(record.get("id", "")) if type(record) is dict else ""
+            skips.append({"id": getattr(exc, "instance_id", row_id),
+                          "reason": f"{type(exc).__name__}: {exc}"})
             continue
         built.add(instance.id)
         instances.append(instance)

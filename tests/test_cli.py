@@ -232,8 +232,8 @@ class TestEvaluateAndReport:
                      "--responses", workspace / "null_answer.jsonl",
                      "--output", workspace / "eval_null_answer.json")
         assert result.returncode == 1
-        assert result.stderr == (f"error: chronological response for instance "
-                                 f"{instances[1]['id']!r} has a null answer, expected string\n")
+        assert result.stderr == (f"error: {workspace / 'null_answer.jsonl'}:4: "
+                                 f"field 'answer' is null, expected string\n")
         assert not (workspace / "eval_null_answer.json").exists()
 
     def test_repeated_dataset_id_exits_1(self, scored):
@@ -350,6 +350,76 @@ class TestSubsample:
         dataset_ids = [r["id"] for r in read_jsonl(workspace / "data.jsonl")]
         positions = [dataset_ids.index(r["id"]) for r in rows]
         assert positions == sorted(positions)
+
+
+class TestRowChecks:
+    """Every row a command reads is checked; a bad one is one `error:` line."""
+
+    def test_build_skips_a_row_that_is_not_an_object(self, workspace):
+        source = workspace / "source_array.jsonl"
+        write_jsonl(source, list(read_jsonl(workspace / "source.jsonl"))[:3] + [[1, 2]])
+        result = trc("build", source, "--output", workspace / "data_array.jsonl")
+        assert result.returncode == 0, result.stderr
+        assert list(read_jsonl(workspace / "data_array.jsonl.skips.jsonl"))[-1] == \
+            {"id": "", "reason": "MalformedRecord: row is array, expected object"}
+
+    @pytest.mark.parametrize("command, field, value, got", [
+        (("export-sft",), "answer", 5, "number"),
+        (("prompt", "--style", "semantic-icl"), "query_absolute", None, "null"),
+        (("prompt",), "language", ["en"], "array"),
+    ])
+    def test_wrong_typed_dataset_field_exits_1(self, workspace, command, field, value, got):
+        rows = list(read_jsonl(workspace / "data.jsonl"))
+        rows[2][field] = value
+        dataset = workspace / f"data_{field}.jsonl"
+        write_jsonl(dataset, rows)
+        result = trc(*command, "--dataset", dataset, "--output", workspace / "out.jsonl")
+        assert result.returncode == 1
+        assert result.stderr == f"error: {dataset}:3: field {field!r} is {got}, expected string\n"
+
+    def test_wrong_typed_prompt_sends_nothing(self, workspace):
+        endpoint = MockEndpoint()
+        try:
+            prompts = workspace / "prompts_bad.jsonl"
+            write_jsonl(prompts, [{"instance_id": "i0", "reference_kind": "absolute",
+                                   "prompt": 7}])
+            result = trc("collect", "--prompts", prompts, "--endpoint", endpoint.url,
+                         "--model", "demo", "--output", workspace / "collected_bad.jsonl",
+                         "--cache-dir", workspace / "cache_bad")
+            assert result.returncode == 1
+            assert result.stderr == f"error: {prompts}:1: field 'prompt' is number, expected string\n"
+            assert endpoint.requests == 0
+        finally:
+            endpoint.close()
+
+    def test_wrong_typed_report_field_exits_1(self, scored):
+        report = json.loads((scored / "eval.json").read_text())
+        report["em_ctr"] = "50"
+        (scored / "eval_string.json").write_text(json.dumps(report))
+        result = trc("report", "--report", scored / "eval_string.json",
+                     "--dataset", scored / "data.jsonl", "--output", scored / "string")
+        assert result.returncode == 1
+        assert result.stderr == "error: field 'em_ctr' is string, expected number\n"
+
+    def test_broken_json_line_is_named(self, workspace):
+        source = workspace / "source_broken.jsonl"
+        source.write_text('{"id": "a"}\n{"id": \n')
+        result = trc("build", source, "--output", workspace / "data_broken.jsonl")
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {source}:2: ")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_unknown_reference_kind_exits_1(self, scored):
+        responses = list(read_jsonl(scored / "responses.jsonl"))
+        responses[1]["reference_kind"] = "Absolute"
+        write_jsonl(scored / "responses_kind.jsonl", responses)
+        result = trc("evaluate", "--dataset", scored / "data.jsonl",
+                     "--responses", scored / "responses_kind.jsonl",
+                     "--output", scored / "eval_kind.json")
+        assert result.returncode == 1
+        assert result.stderr == (f"error: {scored / 'responses_kind.jsonl'}:2: "
+                                 f"unknown reference kind 'Absolute'\n")
+        assert not (scored / "eval_kind.json").exists()
 
 
 def _golden_responses(instances):

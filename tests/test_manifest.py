@@ -1,0 +1,75 @@
+"""The one record rule: every `JsonRecord` class resolves and round-trips,
+and `from_dict` checks each value's JSON type against the annotation."""
+
+import json
+from dataclasses import dataclass
+
+import pytest
+
+from trc_toolkit import cli
+from trc_toolkit.client import CompletionRecord
+from trc_toolkit.errors import MalformedRecord
+from trc_toolkit.manifest import JsonRecord, _fields, encode_json
+from trc_toolkit.metrics import EvalReport
+from trc_toolkit.prompting import PromptRow, SftRecord
+from trc_toolkit.querygen import BenchmarkInstance, ConsistencyPair, SourceRecord
+
+# One instance of every record class; a class without one fails the guard.
+SAMPLES = {
+    BenchmarkInstance: BenchmarkInstance("i0", "en", "employer", "employer", "before",
+                                         "q abs?", "q chron?", "a", "p time", "p event",
+                                         "ctx"),
+    ConsistencyPair: ConsistencyPair("q abs?", "q chron?", True, "i0", "i1"),
+    SourceRecord: SourceRecord("q?", "s", "employer", "ctx", "fr", None, 17),
+    SftRecord: SftRecord("do it", "q?", "p\na", "cross"),
+    PromptRow: PromptRow("i0", "absolute", "Question: q?\nAnswer:"),
+    CompletionRecord: CompletionRecord("i0", "absolute", "ab12", "A", "a", "m", 0.25, None),
+    EvalReport: EvalReport(50.0, 75, 60.5, 80.25, 25.0, 19.75, 40.0, 25.0, 4,
+                           {"employer": (40.0, 25.0, 4)}, {}),
+    cli._Response: cli._Response("i0", "chronological", "a", "HTTP 503"),
+}
+
+
+@pytest.mark.parametrize("cls", JsonRecord.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_every_record_class_round_trips(cls):
+    assert _fields(cls)
+    assert cls in SAMPLES, f"no sample for {cls.__name__}"
+    text = encode_json(SAMPLES[cls].to_dict())
+    assert encode_json(cls.from_dict(json.loads(text)).to_dict()) == text
+
+
+def test_annotation_without_a_json_type_is_refused():
+    @dataclass
+    class Tagged:
+        tags: set[str]
+
+    with pytest.raises(TypeError, match="Tagged.tags"):
+        _fields(Tagged)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("latency", True, "field 'latency' is boolean, expected number"),
+    ("latency", "0.5", "field 'latency' is string, expected number"),
+    ("error", 3, "field 'error' is number, expected string or null"),
+])
+def test_wrong_json_type_is_refused(field, value, message):
+    row = dict(SAMPLES[CompletionRecord].to_dict(), **{field: value})
+    with pytest.raises(MalformedRecord) as exc:
+        CompletionRecord.from_dict(row)
+    assert str(exc.value) == message
+
+
+def test_int_counts_as_a_number_and_a_float_not_as_an_integer():
+    row = SAMPLES[EvalReport].to_dict()
+    assert EvalReport.from_dict(dict(row, em_ctr=50)).em_ctr == 50
+    with pytest.raises(MalformedRecord, match="field 'm' is number, expected integer"):
+        EvalReport.from_dict(dict(row, m=4.5))
+
+
+def test_missing_field_takes_its_default_or_raises_key_error():
+    row = SAMPLES[CompletionRecord].to_dict()
+    del row["error"]
+    assert CompletionRecord.from_dict(row).error is None
+    del row["answer"]
+    with pytest.raises(KeyError, match="answer"):
+        CompletionRecord.from_dict(row)

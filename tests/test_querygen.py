@@ -301,6 +301,12 @@ class TestSyntheticBatch:
         instances, skips = build_dataset([dict(pelikan_record, id=17)])
         assert [inst.id for inst in instances] == ["17"] and skips == []
 
+    @pytest.mark.parametrize("given, expected", [({}, "fr"), ({"language": ""}, ""),
+                                                 ({"language": "de"}, "de")])
+    def test_absent_language_is_the_batch_language(self, pelikan_record, given, expected):
+        instances, skips = build_dataset([dict(pelikan_record, **given)], language="fr")
+        assert [inst.language for inst in instances] == [expected] and skips == []
+
     def test_duplicate_ids_are_skipped(self):
         records = make_records(make_timelines(20, seed=5))
         buildable = len(build_dataset(records)[0])
