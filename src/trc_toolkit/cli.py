@@ -15,7 +15,8 @@ import click
 from . import client as client_mod
 from . import prompting, querygen, translation
 from .errors import DuplicateResponse, MalformedRecord, ToolkitError
-from .manifest import JsonRecord, read_jsonl, write_json, write_jsonl, write_manifest, write_text
+from .manifest import (JsonRecord, read_json, read_jsonl, write_json, write_jsonl,
+                       write_manifest, write_text)
 from .metrics import EvalReport, ResponsePair, evaluate
 from .querygen import BenchmarkInstance
 from .report import build_report, format_text_report
@@ -28,10 +29,6 @@ STYLE_BY_FLAG = {
     "semantic-icl": "semantic_icl",
     "semantic-cot": "semantic_cot",
 }
-
-
-def _load_report(path: str) -> EvalReport:
-    return EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _finish(config: dict, inputs: list, outputs: list, message: str, seed: int = 0):
@@ -227,8 +224,9 @@ def evaluate_cmd(dataset, responses, output, strict):
               help="Output stem; writes <stem>.json and <stem>.txt.")
 def report_cmd(report_path, dataset, compare, output):
     """Render the report document (JSON + fixed-width text)."""
-    doc = build_report(_load_report(report_path), list(read_jsonl(dataset, BenchmarkInstance)),
-                       _load_report(compare) if compare else None)
+    doc = build_report(read_json(report_path, EvalReport),
+                       list(read_jsonl(dataset, BenchmarkInstance)),
+                       read_json(compare, EvalReport) if compare else None)
     json_path = Path(f"{output}.json")
     text_path = Path(f"{output}.txt")
     text = format_text_report(doc)
@@ -302,7 +300,7 @@ def run():
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)
-    except (ToolkitError, KeyError, ValueError, OSError) as exc:
+    except (ToolkitError, ValueError, OSError) as exc:
         _fail(str(exc))
 
 

@@ -29,7 +29,7 @@ from typing import Optional, Sequence, TextIO
 from urllib.parse import unquote, urlsplit
 
 from .errors import AuthFailure
-from .manifest import JsonRecord, encode_json
+from .manifest import JsonRecord, encode_json, json_type, read_jsonl
 from .prompting import PromptStyle
 
 PARALLELISM_CAP = 16
@@ -72,6 +72,14 @@ class CompletionRecord(JsonRecord):
     error: Optional[str] = None
 
 
+@dataclass
+class CacheEntry(JsonRecord):
+    """The fields of a cache row that the toolkit reads; other keys are ignored."""
+    prompt_hash: str
+    raw_completion: str
+    latency: float = 0.0
+
+
 def prompt_hash(model_name: str, prompt: str) -> str:
     return hashlib.sha256(f"{model_name}\x00{prompt}".encode("utf-8")).hexdigest()
 
@@ -92,7 +100,7 @@ def extract_answer(raw_completion: str, style: PromptStyle) -> str:
 
 
 class ResponseCache:
-    """Directory of JSONL records; new ones are appended to `cache.jsonl`.
+    """Directory of `CacheEntry` rows; new ones are appended to `cache.jsonl`.
 
     Writes are serialized through one lock. The file is opened on the first
     `put` and held until `close()`. Each record is one write and a flush, so a
@@ -100,6 +108,7 @@ class ResponseCache:
     skips, and the next write ends that fragment with a newline first. The
     flush does not reach the disk, so a power loss is not covered. Older
     `??.jsonl` shards (one per key prefix) are still read but never written.
+    A row that decodes but breaks the record rule raises `MalformedRecord`.
     """
 
     def __init__(self, directory: str | Path):
@@ -107,34 +116,30 @@ class ResponseCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._path = self.directory / "cache.jsonl"
         self._lock = threading.Lock()
-        self._entries: dict[str, dict] = {}
+        self._entries: dict[str, CacheEntry] = {}
         self._unterminated = False
         self._handle: Optional[TextIO] = None
         self._load()
 
     def _load(self):
         # The live file loads last, so its records win over the older shards'.
+        # A line that does not decode is a tail cut short by a killed run.
         for path in sorted(self.directory.glob("*.jsonl"), key=lambda p: (p == self._path, p)):
-            with path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.endswith("\n") and path == self._path:
-                        self._unterminated = True  # a tail cut short by a killed run
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # truncated tail from a killed run
-                    self._entries[record["prompt_hash"]] = record
+            for entry in read_jsonl(path, CacheEntry, skip_undecodable=True):
+                self._entries[entry.prompt_hash] = entry
+        if self._path.exists() and self._path.stat().st_size:
+            with self._path.open("rb") as fh:
+                fh.seek(-1, os.SEEK_END)
+                self._unterminated = fh.read(1) != b"\n"
 
-    def get(self, key: str) -> Optional[dict]:
+    def get(self, key: str) -> Optional[CacheEntry]:
         return self._entries.get(key)
 
     def put(self, key: str, record: dict):
+        entry = CacheEntry.from_dict(record)  # checked before it is written as given
         line = encode_json(record) + "\n"
         with self._lock:
-            self._entries[key] = record
+            self._entries[key] = entry
             if self._handle is None:
                 self._handle = self._path.open("a", encoding="utf-8")
             if self._unterminated:
@@ -269,6 +274,8 @@ def _request_completion(prompt: str, config: EndpointConfig, transport: _Transpo
         content = json.loads(payload)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         return _Attempt(error=f"malformed response body: {exc}")
+    if type(content) is not str:  # a null content is a failed call, not an empty answer
+        return _Attempt(error=f"malformed response body: content is {json_type(content)}")
     return _Attempt(raw=content, latency=time.monotonic() - started)
 
 
@@ -365,7 +372,7 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
         if cached is None:  # a fresh index that ran out of retries
             raw, latency, error = "", 0.0, errors[index]
         else:
-            raw, latency, error = cached["raw_completion"], cached.get("latency", 0.0), None
+            raw, latency, error = cached.raw_completion, cached.latency, None
         records.append(CompletionRecord(
             instance_id=instance_id, reference_kind=reference_kind, prompt_hash=key,
             raw_completion=raw, answer=extract_answer(raw, style),

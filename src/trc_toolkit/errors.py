@@ -6,7 +6,7 @@ class ToolkitError(Exception):
 
 
 class MalformedRecord(ToolkitError):
-    """An input row whose field holds a JSON type the toolkit cannot use."""
+    """An input row that is not an object, lacks a field or holds a value the toolkit cannot use."""
 
 
 # --- time / fact-context parsing ---

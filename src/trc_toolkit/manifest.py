@@ -59,14 +59,16 @@ class JsonRecord:
 
     @classmethod
     def from_dict(cls, record):
-        """Ignores extra keys. A missing field takes its default or raises KeyError;
-        a row that is not an object, or a value of another JSON type, MalformedRecord."""
+        """Ignores extra keys; a missing field takes its default. A missing field with
+        none, a row that is not an object or a value of another JSON type: MalformedRecord."""
         if type(record) is not dict:
             raise MalformedRecord(f"row is {json_type(record)}, expected object")
         values = {}
         for name, (accepted, expected, default) in _fields(cls).items():
-            if name not in record:   # without a default, record[name] raises KeyError
-                values[name] = record[name] if default is MISSING else default
+            if name not in record:
+                if default is MISSING:
+                    raise MalformedRecord(f"field {name!r} is missing")
+                values[name] = default
             elif type(value := record[name]) not in accepted:
                 raise MalformedRecord(f"field {name!r} is {json_type(value)}, expected {expected}")
             else:
@@ -74,8 +76,10 @@ class JsonRecord:
         return cls(**values)
 
 
-def read_jsonl(path: str | Path, cls: type[JsonRecord] | None = None) -> Iterator:
-    """Each line's JSON value, or with `cls` its record; an error names the line."""
+def read_jsonl(path: str | Path, cls: type[JsonRecord] | None = None, *,
+               skip_undecodable: bool = False) -> Iterator:
+    """Each line's JSON value, or with `cls` its record; an error names the line.
+    With `skip_undecodable`, a line that is not JSON is passed over instead."""
     with Path(path).open("r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -84,10 +88,18 @@ def read_jsonl(path: str | Path, cls: type[JsonRecord] | None = None) -> Iterato
                 row = json.loads(line)
                 row = row if cls is None else cls.from_dict(row)
             except (ValueError, MalformedRecord) as exc:   # JSONDecodeError is a ValueError
+                if skip_undecodable and isinstance(exc, json.JSONDecodeError):
+                    continue
                 raise MalformedRecord(f"{path}:{number}: {exc}") from exc
-            except KeyError as exc:
-                raise MalformedRecord(f"{path}:{number}: field {exc.args[0]!r} is missing") from exc
             yield row
+
+
+def read_json(path: str | Path, cls: type[JsonRecord]):
+    """The record of a file holding one JSON document; an error names the file."""
+    try:
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, MalformedRecord) as exc:
+        raise MalformedRecord(f"{path}: {exc}") from exc
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]):

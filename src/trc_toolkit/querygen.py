@@ -124,10 +124,9 @@ def build_instance(record: dict, language: str = "en", *,
                    _timelines: dict | None = None) -> BenchmarkInstance:
     """Run the full construction pipeline on one raw source row.
 
-    The row is read as a `SourceRecord` (MalformedRecord, or KeyError for a
-    missing field). Past that, toolkit errors and the KeyError of an unknown
-    relation carry the instance id. `_timelines` is `build_dataset`'s memo
-    of the fact contexts it parsed.
+    The row is read as a `SourceRecord` (MalformedRecord). Past that, every
+    toolkit error carries the instance id. `_timelines` is `build_dataset`'s
+    memo of the fact contexts it parsed.
     """
     source = SourceRecord.from_dict(record)
     instance_id = str(source.id or _derive_id(source))
@@ -135,7 +134,7 @@ def build_instance(record: dict, language: str = "en", *,
     try:
         return _build_instance(source, instance_id, language,
                                {} if _timelines is None else _timelines)
-    except (ToolkitError, KeyError) as exc:
+    except ToolkitError as exc:
         exc.instance_id = instance_id
         raise
 
@@ -220,7 +219,7 @@ def build_dataset(records: Iterable[dict], language: str = "en",
             instance = build_instance(record, language=language, _timelines=timelines)
             if instance.id in built:
                 raise DuplicateInstanceId(instance.id)
-        except (ToolkitError, KeyError) as exc:
+        except ToolkitError as exc:
             # a row that did not convert has no instance id: log the id it holds
             row_id = str(record.get("id", "")) if type(record) is dict else ""
             skips.append({"id": getattr(exc, "instance_id", row_id),

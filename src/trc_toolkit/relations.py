@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import MalformedRecord
+
 
 @dataclass(frozen=True)
 class RelationSpec:
@@ -52,7 +54,7 @@ def normalize_relation(relation: str) -> str:
     """Accept both "member of sports team" and "member_of_sports_team" forms."""
     key = relation.strip().lower().replace(" ", "_")
     if key not in RELATIONS:
-        raise KeyError(f"unknown relation {relation!r}")
+        raise MalformedRecord(f"unknown relation {relation!r}")
     return key
 
 

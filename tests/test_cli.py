@@ -255,7 +255,8 @@ class TestEvaluateAndReport:
         result = trc("report", "--report", scored / "eval_partial.json",
                      "--dataset", scored / "data.jsonl", "--output", scored / "partial")
         assert result.returncode == 1
-        assert result.stderr == "error: 'per_language'\n"
+        assert result.stderr == \
+            f"error: {scored / 'eval_partial.json'}: field 'per_language' is missing\n"
         assert not (scored / "partial.json").exists()
 
 
@@ -301,6 +302,51 @@ class TestCollect:
             assert result.returncode == 2
         finally:
             endpoint.close()
+
+    def test_null_content_is_an_error_row_and_not_cached(self, workspace):
+        prompts = workspace / "nprompts.jsonl"
+        write_jsonl(prompts, [{"instance_id": "n0", "reference_kind": "absolute",
+                               "prompt": "null reply"}])
+        cache = workspace / "cache_null"
+        endpoint = MockEndpoint()
+        try:
+            endpoint.reply = lambda prompt: None
+            args = ("collect", "--prompts", prompts, "--endpoint", endpoint.url,
+                    "--model", "demo", "--output", workspace / "nulls.jsonl",
+                    "--cache-dir", cache, "--retry-limit", 0)
+            result = trc(*args)
+            assert result.returncode == 2, result.stderr
+            [row] = read_jsonl(workspace / "nulls.jsonl")
+            assert row["error"] == "malformed response body: content is null"
+            assert not (cache / "cache.jsonl").exists()
+            endpoint.reply = lambda prompt: "an answer"
+            result = trc(*args)
+            assert result.returncode == 0, result.stderr
+            [row] = read_jsonl(workspace / "nulls.jsonl")
+            assert (row["answer"], row["error"]) == ("an answer", None)
+            assert len((cache / "cache.jsonl").read_text().splitlines()) == 1
+        finally:
+            endpoint.close()
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "row is array, expected object"),
+        ('{"a": 1}', "field 'prompt_hash' is missing"),
+        ('{"prompt_hash": "x", "raw_completion": null}',
+         "field 'raw_completion' is null, expected string"),
+    ], ids=["array", "no-hash", "null-completion"])
+    def test_bad_cache_row_exits_1_naming_its_line(self, tmp_path, line, message):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "cache.jsonl").write_text(line + "\n")
+        write_jsonl(tmp_path / "prompts.jsonl", [
+            {"instance_id": "b0", "reference_kind": "absolute", "prompt": "q"}])
+        # the cache is read before any request, so the endpoint is never reached
+        result = trc("collect", "--prompts", tmp_path / "prompts.jsonl",
+                     "--endpoint", "http://127.0.0.1:9", "--model", "demo",
+                     "--output", tmp_path / "responses.jsonl", "--cache-dir", cache)
+        assert result.returncode == 1
+        assert result.stderr == f"error: {cache / 'cache.jsonl'}:1: {message}\n"
+        assert not (tmp_path / "responses.jsonl").exists()
 
 
 class TestMtAgree:
@@ -399,7 +445,18 @@ class TestRowChecks:
         result = trc("report", "--report", scored / "eval_string.json",
                      "--dataset", scored / "data.jsonl", "--output", scored / "string")
         assert result.returncode == 1
-        assert result.stderr == "error: field 'em_ctr' is string, expected number\n"
+        assert result.stderr == \
+            f"error: {scored / 'eval_string.json'}: field 'em_ctr' is string, expected number\n"
+
+    def test_bad_baseline_report_is_named(self, scored):
+        report = json.loads((scored / "eval.json").read_text())
+        del report["trc"]
+        (scored / "eval_baseline.json").write_text(json.dumps(report))
+        result = trc("report", "--report", scored / "eval.json", "--dataset", scored / "data.jsonl",
+                     "--compare", scored / "eval_baseline.json", "--output", scored / "baseline")
+        assert result.returncode == 1
+        assert result.stderr == f"error: {scored / 'eval_baseline.json'}: field 'trc' is missing\n"
+        assert not (scored / "baseline.json").exists()
 
     def test_broken_json_line_is_named(self, workspace):
         source = workspace / "source_broken.jsonl"

@@ -14,6 +14,7 @@ import pytest
 
 import trc_toolkit
 from trc_toolkit.client import (
+    CacheEntry,
     EndpointConfig,
     ResponseCache,
     collect_responses,
@@ -211,15 +212,15 @@ class TestCollectResponses:
     def test_append_after_truncated_tail_survives_reload(self, tmp_path):
         cache_dir = tmp_path / "cache"
         with ResponseCache(cache_dir) as cache:
-            cache.put("ab01", {"prompt_hash": "ab01"})
+            cache.put("ab01", {"prompt_hash": "ab01", "raw_completion": "ab01"})
         with (cache_dir / "ab.jsonl").open("a") as fh:
             fh.write('{"prompt_hash": "trunc')
         for key in ("ab02", "ab03"):
             with ResponseCache(cache_dir) as cache:
-                cache.put(key, {"prompt_hash": key})
+                cache.put(key, {"prompt_hash": key, "raw_completion": key})
         with ResponseCache(cache_dir) as reloaded:
             assert [reloaded.get(k) for k in ("ab01", "ab02", "ab03")] == \
-                [{"prompt_hash": k} for k in ("ab01", "ab02", "ab03")]
+                [CacheEntry(k, k) for k in ("ab01", "ab02", "ab03")]
             assert len(reloaded) == 3
 
     def test_retries_then_succeeds(self, endpoint, cache):
@@ -270,6 +271,19 @@ class TestCollectResponses:
                                     cache, sleep=lambda s: None)
         assert records[0].error == "malformed response body: 'choices'"
         assert endpoint.requests == 2
+
+    def test_null_content_is_retried_and_never_cached(self, endpoint, tmp_path):
+        endpoint.reply = lambda prompt: None
+        waits = []
+        with ResponseCache(tmp_path / "cache") as cache:
+            records = collect_responses(PROMPTS[:1],
+                                        config_for(endpoint, parallelism=1, retry_limit=1),
+                                        cache, sleep=waits.append)
+            assert len(cache) == 0
+        assert records[0].error == "malformed response body: content is null"
+        assert records[0].raw_completion == records[0].answer == ""
+        assert endpoint.requests == 2 and len(waits) == 1
+        assert not (tmp_path / "cache" / "cache.jsonl").exists()
 
     @pytest.mark.parametrize("retry_after, low, high", [
         ("30", 29.0, 30.0),  # delta-seconds longer than the backoff wins
@@ -486,17 +500,17 @@ class TestResponseCacheFile:
         cache_dir = tmp_path / "cache"
         with ResponseCache(cache_dir) as cache:
             for key in ("k1", "k2"):
-                cache.put(key, {"prompt_hash": key})
+                cache.put(key, {"prompt_hash": key, "raw_completion": key})
         live = cache_dir / "cache.jsonl"
         live.write_bytes(live.read_bytes()[:-cut])  # cut k2's newline, or into k2 itself
         keys = ["k1", "k2", "k3"] if cut == 1 else ["k1", "k3"]
         with ResponseCache(cache_dir) as cache:
             assert len(cache) == len(keys) - 1
-            cache.put("k3", {"prompt_hash": "k3"})
+            cache.put("k3", {"prompt_hash": "k3", "raw_completion": "k3"})
         with ResponseCache(cache_dir) as reloaded:
-            assert [reloaded.get(k) for k in keys] == [{"prompt_hash": k} for k in keys]
+            assert [reloaded.get(k) for k in keys] == [CacheEntry(k, k) for k in keys]
             assert len(reloaded) == len(keys)
-        assert live.read_text().splitlines()[-1] == '{"prompt_hash": "k3"}'
+        assert live.read_text().splitlines()[-1] == '{"prompt_hash": "k3", "raw_completion": "k3"}'
 
     def test_killed_writer_keeps_every_returned_put(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -523,10 +537,10 @@ class TestResponseCacheFile:
         with ResponseCache(cache_dir) as reloaded:
             for key in printed:
                 i = int(key[1:])
-                assert reloaded.get(key) == {"prompt_hash": key, "raw_completion": "é" * (i % 97)}
-            reloaded.put("after", {"prompt_hash": "after"})
+                assert reloaded.get(key) == CacheEntry(key, "é" * (i % 97))
+            reloaded.put("after", {"prompt_hash": "after", "raw_completion": ""})
         with ResponseCache(cache_dir) as reloaded:
-            assert reloaded.get("after") == {"prompt_hash": "after"}
+            assert reloaded.get("after") == CacheEntry("after", "")
             assert all(reloaded.get(key) is not None for key in printed)
 
 

@@ -1,13 +1,16 @@
 """The one record rule: every `JsonRecord` class resolves and round-trips,
 and `from_dict` checks each value's JSON type against the annotation."""
 
+import ast
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import trc_toolkit
 from trc_toolkit import cli
-from trc_toolkit.client import CompletionRecord
+from trc_toolkit.client import CacheEntry, CompletionRecord
 from trc_toolkit.errors import MalformedRecord
 from trc_toolkit.manifest import JsonRecord, _fields, encode_json
 from trc_toolkit.metrics import EvalReport
@@ -24,6 +27,7 @@ SAMPLES = {
     SftRecord: SftRecord("do it", "q?", "p\na", "cross"),
     PromptRow: PromptRow("i0", "absolute", "Question: q?\nAnswer:"),
     CompletionRecord: CompletionRecord("i0", "absolute", "ab12", "A", "a", "m", 0.25, None),
+    CacheEntry: CacheEntry("ab12", "A", 0.25),
     EvalReport: EvalReport(50.0, 75, 60.5, 80.25, 25.0, 19.75, 40.0, 25.0, 4,
                            {"employer": (40.0, 25.0, 4)}, {}),
     cli._Response: cli._Response("i0", "chronological", "a", "HTTP 503"),
@@ -66,10 +70,48 @@ def test_int_counts_as_a_number_and_a_float_not_as_an_integer():
         EvalReport.from_dict(dict(row, m=4.5))
 
 
-def test_missing_field_takes_its_default_or_raises_key_error():
+def test_missing_field_takes_its_default_or_is_malformed():
     row = SAMPLES[CompletionRecord].to_dict()
     del row["error"]
     assert CompletionRecord.from_dict(row).error is None
     del row["answer"]
-    with pytest.raises(KeyError, match="answer"):
+    with pytest.raises(MalformedRecord) as exc:
         CompletionRecord.from_dict(row)
+    assert str(exc.value) == "field 'answer' is missing"
+
+
+def _decodes_and_key_error_catches(source: str) -> set[tuple[str | None, str]]:
+    """(enclosing function, "json.loads" or "except KeyError") for each one in `source`."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "loads"
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.add((function, "json.loads"))
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.add((function, "from json import"))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(name, ast.Name) and name.id == "KeyError" for name in caught):
+                found.add((function, "except KeyError"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_record_rule_decodes_and_key_error_is_no_input_signal():
+    """Outside manifest.py, only the endpoint body parse decodes JSON or catches KeyError."""
+    package = Path(trc_toolkit.__file__).parent
+    found = {(path.name, function, what)
+             for path in sorted(package.glob("*.py"))
+             for function, what in _decodes_and_key_error_catches(path.read_text("utf-8"))}
+    body_parse = {("client.py", "_request_completion", "json.loads"),
+                  ("client.py", "_request_completion", "except KeyError")}
+    assert body_parse <= found   # the scan sees what it looks for
+    stray = {item for item in found - body_parse
+             if item[0] != "manifest.py" or item[2] != "json.loads"}
+    assert not stray

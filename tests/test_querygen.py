@@ -10,6 +10,7 @@ import pytest
 from trc_toolkit import querygen
 from trc_toolkit.errors import (
     DuplicateInstanceId,
+    MalformedRecord,
     ReferenceEventNotFound,
     SampleTooLarge,
     SlotUnresolved,
@@ -158,7 +159,7 @@ class TestBuildInstance:
         record = pelikan_instance.to_dict()
         assert BenchmarkInstance.from_dict(dict(record, extra="ignored")) == pelikan_instance
         del record["answer"]
-        with pytest.raises(KeyError):
+        with pytest.raises(MalformedRecord, match="field 'answer' is missing"):
             BenchmarkInstance.from_dict(record)
 
     def test_earliest_anchor_skipped_in_batch(self, pelikan_record):
@@ -363,7 +364,7 @@ def _perturbed_records(n_timelines: int, seed: int) -> list[dict]:
 # skip log that build_dataset makes from _perturbed_records(60, seed=3).
 PERTURBED_BUILD_DIGESTS = {
     "instances": "d93bffd1b499e6419120b556b2d984340c3a8d51941e1b4df77dd5cf70deebef",
-    "skips": "bdc327539e356803203c1cb0a088396369cce970a1f37fe1b7b96be97453e59b",
+    "skips": "0815ceba0609d8414e04789d1a7f94eaa8b5847d2c0d19c338c7cad404d0272e",
 }
 
 
@@ -372,7 +373,7 @@ def test_perturbed_batch_golden():
     reasons = [s["reason"] for s in skips]
     assert {r.split(":")[0] for r in reasons} == {
         "GoldAnswerMismatch", "ReferenceEventNotFound", "SlotUnresolved",
-        "NoNeighbor", "KeyError"}
+        "NoNeighbor", "MalformedRecord"}
     assert any("ongoing" in r for r in reasons)
     assert any("empty reference span" in r for r in reasons)
     assert any("no before/after keyword" in r for r in reasons)
@@ -394,7 +395,7 @@ def _reference_build_dataset(records):
             instance = build_instance(record)
             if instance.id in built:
                 raise DuplicateInstanceId(instance.id)
-        except (ToolkitError, KeyError) as exc:
+        except ToolkitError as exc:
             skips.append({"id": getattr(exc, "instance_id", str(record.get("id", ""))),
                           "reason": f"{type(exc).__name__}: {exc}"})
             continue

@@ -96,6 +96,22 @@ class TestChrf:
         hyp, ref = "le chat noir", "le chat vert"
         assert chrf_pp(hyp, ref) == pytest.approx(oracle_chrf(hyp, ref))
 
+    def test_worked_example_averages_f_over_orders(self):
+        # hyp "ab", ref "abc", default config (chars 1-6, words 1-2, beta 2),
+        # F = (1 + b^2) P R / (b^2 P + R):
+        #   char 1-grams: 2 of 2 hyp, 2 of 3 ref match: P 1, R 2/3, F 5/7
+        #   char 2-grams: "ab" matches:                P 1, R 1/2, F 5/9
+        #   char 3-grams: none on the hyp side:        F 0
+        #   char 4-6-grams: none on either side:       not counted
+        #   word 1-grams: "ab" vs "abc":               F 0
+        #   word 2-grams: none on either side:         not counted
+        # chrf_pp is the mean F: (5/7 + 5/9 + 0 + 0) / 4 = 20/63.
+        assert chrf_pp("ab", "abc") == pytest.approx(100 * 20 / 63)
+        # Popović (WMT 2015) takes F of the mean P (1/2) and mean R (7/24)
+        # over the same four orders, the char 3-grams' P taken as 0:
+        # 7/22, which is not the value above.
+        assert chrf_pp("ab", "abc") != pytest.approx(100 * 7 / 22)
+
     def test_whitespace_invariance(self):
         assert chrf_pp("  le   chat noir ", "le chat vert") == \
             chrf_pp("le chat noir", "le chat vert")
