@@ -173,8 +173,9 @@ class _Attempt:
     retry_after: float = 0.0  # the server's delta-seconds Retry-After on a 429
 
 
-def _backoff(attempt: int, rng: random.Random, base: float = 0.5) -> float:
-    return base * (2 ** attempt) * (1 + rng.random())
+def _backoff(attempt: int, rng: random.Random) -> float:
+    """0.5 s, doubled per earlier failed attempt, times a jitter in [1, 2)."""
+    return 0.5 * (2 ** attempt) * (1 + rng.random())
 
 
 def _retry_after(value: Optional[str]) -> float:
@@ -287,19 +288,24 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
                       sleep=time.sleep) -> list[CompletionRecord]:
     """Fetch one completion per (instance_id, reference_kind, prompt).
 
-    Cache hits skip the network entirely; failures that outlive the retry
-    budget become error-marked records instead of aborting the batch. Output
-    order matches input order. Up to `config.parallelism` threads, each with
-    its own connection, loop: send a due retry, else a fresh prompt, else wait
-    out the earliest backoff through `sleep` (so `sleep` may run on a worker
-    thread) and send that retry, else stop. The first exception in a worker
-    (AuthFailure, or one from `cache.put`) or in the wait for them (Ctrl-C) is
-    raised once all have stopped: 401/403 stops the run after the requests
-    already in flight and any backoff a worker is already waiting out.
+    Cache hits skip the network entirely. Rows that repeat a prompt share one
+    request, sent for the first of them, and its completion or error. Failures
+    that outlive the retry budget become error-marked records instead of
+    aborting the batch. Output order matches input order. Up to
+    `config.parallelism` threads, each with its own connection, loop: send a
+    due retry, else a fresh prompt, else wait out the earliest backoff through
+    `sleep` (so `sleep` may run on a worker thread) and send that retry, else
+    stop. The first exception in a worker (AuthFailure, or one from
+    `cache.put`) or in the wait for them (Ctrl-C) is raised once all have
+    stopped: 401/403 stops the run after the requests already in flight and
+    any backoff a worker is already waiting out.
     """
     keys = [prompt_hash(config.model_name, p) for _, _, p in prompts]
-    fresh = deque(i for i, key in enumerate(keys) if cache.get(key) is None)
-    errors: dict[int, str] = {}
+    first: dict[str, int] = {}  # each key's first row
+    for index, key in enumerate(keys):
+        first.setdefault(key, index)
+    fresh = deque(index for key, index in first.items() if cache.get(key) is None)
+    errors: dict[str, str] = {}  # key -> the error of its last attempt
 
     if fresh:
         transport = _Transport(config.base_url, config.timeout)
@@ -342,7 +348,7 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
                                 heapq.heappush(retries, (time.monotonic() + delay, index))
                                 tries[index] = failed + 1
                             else:
-                                errors[index] = attempt.error
+                                errors[keys[index]] = attempt.error
             except BaseException as exc:
                 failures.append(exc)
             finally:
@@ -367,10 +373,10 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
             raise failures[0]
 
     records = []
-    for index, ((instance_id, reference_kind, _prompt), key) in enumerate(zip(prompts, keys)):
+    for (instance_id, reference_kind, _prompt), key in zip(prompts, keys):
         cached = cache.get(key)
-        if cached is None:  # a fresh index that ran out of retries
-            raw, latency, error = "", 0.0, errors[index]
+        if cached is None:  # a fresh key that ran out of retries
+            raw, latency, error = "", 0.0, errors[key]
         else:
             raw, latency, error = cached.raw_completion, cached.latency, None
         records.append(CompletionRecord(

@@ -79,16 +79,17 @@ class JsonRecord:
 def read_jsonl(path: str | Path, cls: type[JsonRecord] | None = None, *,
                skip_undecodable: bool = False) -> Iterator:
     """Each line's JSON value, or with `cls` its record; an error names the line.
-    With `skip_undecodable`, a line that is not JSON is passed over instead."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    With `skip_undecodable`, a line that is not UTF-8 JSON is passed over instead."""
+    with Path(path).open("rb") as fh:
         for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
+            try:   # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                line = line.decode("utf-8")
+                if not line.strip():
+                    continue
                 row = json.loads(line)
                 row = row if cls is None else cls.from_dict(row)
-            except (ValueError, MalformedRecord) as exc:   # JSONDecodeError is a ValueError
-                if skip_undecodable and isinstance(exc, json.JSONDecodeError):
+            except (ValueError, MalformedRecord) as exc:
+                if skip_undecodable and isinstance(exc, (UnicodeDecodeError, json.JSONDecodeError)):
                     continue
                 raise MalformedRecord(f"{path}:{number}: {exc}") from exc
             yield row

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import statistics
 import string
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -18,12 +17,14 @@ from .errors import (
     DuplicateResponse,
     EmptyInput,
     LengthMismatch,
+    MalformedRecord,
     MissingGold,
     UnknownInstanceId,
     ZeroVariance,
 )
-from .manifest import JsonRecord
+from .manifest import JsonRecord, encode_json
 from .querygen import BenchmarkInstance
+from .translation import clipped_count
 
 _ARTICLES = {"a", "an", "the"}
 _PUNCT_TO_SPACE = str.maketrans(string.punctuation, " " * len(string.punctuation))
@@ -44,7 +45,7 @@ def _f1(pred_tokens: list[str], gold_tokens: list[str]) -> float:
         return 1.0
     if not pred_tokens or not gold_tokens:
         return 0.0
-    common = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+    common = clipped_count(pred_tokens, gold_tokens)
     if common == 0:
         return 0.0
     precision = common / len(pred_tokens)
@@ -148,7 +149,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 class EvalReport(JsonRecord):
     """Every aggregate of one run; a breakdown maps a name to (trc, trcf, count).
 
-    `eval.json` is `to_dict()`; read back, the breakdown values are lists.
+    `eval.json` is `to_dict()`; read back, the breakdown values are lists, and
+    one that is not [number, number, integer] is a MalformedRecord.
     """
     em_ctr: float
     em_atr: float
@@ -161,6 +163,16 @@ class EvalReport(JsonRecord):
     m: int
     per_entity: dict[str, tuple[float, float, int]]
     per_language: dict[str, tuple[float, float, int]]
+    # the types of a breakdown's (trc, trcf, count); a JSON number decodes as int or float
+    _ROW_TYPES = {(trc, trcf, int) for trc in (int, float) for trcf in (int, float)}
+
+    def __post_init__(self):
+        for name in ("per_entity", "per_language"):
+            for key, value in getattr(self, name).items():
+                if type(value) not in (list, tuple) or \
+                        tuple(map(type, value)) not in self._ROW_TYPES:
+                    raise MalformedRecord(f"field {name!r} at {key!r} is {encode_json(value)}, "
+                                          "expected [number, number, integer]")
 
 
 def evaluate(dataset: Sequence[BenchmarkInstance], pairs: Sequence[ResponsePair],

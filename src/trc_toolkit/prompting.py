@@ -97,7 +97,6 @@ class IdfIndex:
             self.df.update(doc.keys())
             for term, count in doc.items():
                 self.postings.setdefault(term, []).append((pos, count))
-        self._weights: dict[tuple[int, int], float] = {}   # (n, df) -> idf
         # n -> (idf of every term, each document's norm under it)
         self._bases: dict[int, tuple[dict[str, float], list[float]]] = {}
 
@@ -105,11 +104,9 @@ class IdfIndex:
     def build(cls, texts: Sequence[str]) -> "IdfIndex":
         return cls([Counter(_tokens(text)) for text in texts])
 
-    def _weight(self, n: int, df: int) -> float:
-        key = (n, df)
-        if key not in self._weights:
-            self._weights[key] = math.log((1 + n) / (1 + df)) + 1.0
-        return self._weights[key]
+    @staticmethod
+    def _weight(n: int, df: int) -> float:
+        return math.log((1 + n) / (1 + df)) + 1.0
 
     def _df(self, term: str, skip: Sequence[int]) -> int:
         return self.df[term] - sum(term in self.docs[pos] for pos in skip)

@@ -26,60 +26,45 @@ def _ngram_orders(seq: str | tuple[str, ...], max_order: int) -> list[list]:
     concatenation per n-gram.
     """
     first = list(seq) if isinstance(seq, str) else list(zip(seq))
-    orders = [first] if max_order >= 1 else []
+    orders = [first]
     for n in range(1, max_order):
         orders.append(list(map(add, orders[-1], first[n:])))
     return orders
 
 
-def _clipped(hyp: list, ref: list) -> int:
-    """Clipped matches between two n-gram lists.
+# chrF++ (Popović, WMT 2017): character orders 1-6, word orders 1-2, beta 2.
+_CHAR_ORDERS, _WORD_ORDERS, _BETA = 6, 2, 2.0
 
-    When either side repeats no n-gram, each shared n-gram matches exactly
+
+def clipped_count(hyp: list, ref: list) -> int:
+    """Clipped matches between two lists of n-grams or tokens: the smaller
+    count of every item both sides hold.
+
+    When the hypothesis repeats nothing, each shared item matches exactly
     once, so the count is the size of the two sets' intersection.
     """
     hyp_set = set(hyp)
     if len(hyp_set) == len(hyp):
         return len(hyp_set.intersection(ref))
-    ref_set = set(ref)
-    if len(ref_set) == len(ref):
-        return len(ref_set & hyp_set)
-    return _overlap(Counter(hyp), Counter(ref))
-
-
-def _overlap(hyp: Counter, ref: Counter) -> int:
-    """Clipped matches: the smaller count of every n-gram both sides have."""
-    if len(ref) < len(hyp):
-        hyp, ref = ref, hyp
+    hyp_counts, ref_counts = Counter(hyp), Counter(ref)
+    if len(ref_counts) < len(hyp_counts):
+        hyp_counts, ref_counts = ref_counts, hyp_counts
     matched = 0
-    for gram, count in hyp.items():
-        other = ref.get(gram)
+    for gram, count in hyp_counts.items():
+        other = ref_counts.get(gram)
         if other:
             matched += count if count < other else other
     return matched
 
 
-@dataclass(frozen=True)
-class ChrfConfig:
-    char_ngram_max: int = 6
-    word_ngram_max: int = 2
-    beta: float = 2.0
-
-    def __post_init__(self):
-        if self.char_ngram_max < 1:
-            raise ValueError("char_ngram_max must be >= 1")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-
-
-def _fbeta(precision: float, recall: float, beta: float) -> float:
+def _fbeta(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0
-    b2 = beta * beta
+    b2 = _BETA * _BETA
     return (1 + b2) * precision * recall / (b2 * precision + recall)
 
 
-def chrf_pp(hypothesis: str, reference: str, config: ChrfConfig = ChrfConfig()) -> float:
+def chrf_pp(hypothesis: str, reference: str) -> float:
     """Character+word n-gram F-beta averaged uniformly over orders, 0-100."""
     hypothesis = _normalize_ws(hypothesis)
     reference = _normalize_ws(reference)
@@ -89,8 +74,8 @@ def chrf_pp(hypothesis: str, reference: str, config: ChrfConfig = ChrfConfig()) 
         return 0.0
 
     # character n-grams ignore spaces; word n-grams are over the tokens
-    sides = [(hypothesis.replace(" ", ""), reference.replace(" ", ""), config.char_ngram_max),
-             (tuple(hypothesis.split()), tuple(reference.split()), config.word_ngram_max)]
+    sides = [(hypothesis.replace(" ", ""), reference.replace(" ", ""), _CHAR_ORDERS),
+             (tuple(hypothesis.split()), tuple(reference.split()), _WORD_ORDERS)]
     scores = []
     for hyp, ref, max_order in sides:
         for hyp_grams, ref_grams in zip(_ngram_orders(hyp, max_order),
@@ -100,24 +85,21 @@ def chrf_pp(hypothesis: str, reference: str, config: ChrfConfig = ChrfConfig()) 
             if not hyp_grams or not ref_grams:
                 scores.append(0.0)
                 continue
-            common = _clipped(hyp_grams, ref_grams)
-            scores.append(_fbeta(common / len(hyp_grams), common / len(ref_grams), config.beta))
+            common = clipped_count(hyp_grams, ref_grams)
+            scores.append(_fbeta(common / len(hyp_grams), common / len(ref_grams)))
     if not scores:
         return 0.0
     return 100 * sum(scores) / len(scores)
 
 
-def bleu_n(hypothesis: str, reference: str, max_order: int = 3,
-           smoothing: str = "add_one") -> float:
+def bleu_n(hypothesis: str, reference: str, max_order: int = 3) -> float:
     """Modified n-gram precision geometric mean with brevity penalty, in [0, 1].
 
-    add_one smoothing (applied to orders >= 2) avoids hard zeros on short
-    strings; smoothing="none" is the strict definition.
+    Orders >= 2 take add-one smoothing (Chen & Cherry, WMT 2014), so a short
+    string gets no hard zero; a hypothesis sharing no unigram scores 0.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if smoothing not in ("none", "add_one"):
-        raise ValueError(f"unknown smoothing {smoothing!r}")
     hyp_tokens = tuple(hypothesis.split())
     ref_tokens = tuple(reference.split())
     if not hyp_tokens or not ref_tokens:
@@ -130,12 +112,12 @@ def bleu_n(hypothesis: str, reference: str, max_order: int = 3,
         total = len(hyp_grams)
         if total == 0:
             continue  # hypothesis shorter than this order
-        matched = _clipped(hyp_grams, ref_grams)
-        if smoothing == "add_one" and order > 1:
+        matched = clipped_count(hyp_grams, ref_grams)
+        if order > 1:
             precision = (matched + 1) / (total + 1)
+        elif matched == 0:
+            return 0.0
         else:
-            if matched == 0:
-                return 0.0
             precision = matched / total
         log_sum += math.log(precision)
         used += 1

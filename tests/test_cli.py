@@ -466,6 +466,33 @@ class TestRowChecks:
         assert result.stderr.startswith(f"error: {source}:2: ")
         assert len(result.stderr.splitlines()) == 1
 
+    def test_invalid_utf8_line_is_named(self, workspace):
+        source = workspace / "source_latin1.jsonl"
+        source.write_bytes('{"id": "café"}\n'.encode("latin-1"))
+        result = trc("build", source, "--output", workspace / "data_latin1.jsonl")
+        assert result.returncode == 1
+        assert result.stderr.startswith(
+            f"error: {source}:1: 'utf-8' codec can't decode byte 0xe9 in position 11")
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("per_entity", [1], "[1]"),
+        ("per_entity", "abc", '"abc"'),
+        ("per_language", [50.0, 25.0, 2.5], "[50.0, 25.0, 2.5]"),
+        ("per_language", [50.0, None, 2], "[50.0, null, 2]"),
+    ], ids=["short", "string", "float-count", "null"])
+    def test_bad_breakdown_value_is_named(self, scored, field, value, shown):
+        report = json.loads((scored / "eval.json").read_text())
+        name = next(iter(report[field]))
+        report[field][name] = value
+        path = scored / "eval_breakdown.json"
+        path.write_text(json.dumps(report))
+        result = trc("report", "--report", path, "--dataset", scored / "data.jsonl",
+                     "--output", scored / "breakdown")
+        assert result.returncode == 1
+        assert result.stderr == (f"error: {path}: field {field!r} at {name!r} is {shown}, "
+                                 "expected [number, number, integer]\n")
+
     def test_unknown_reference_kind_exits_1(self, scored):
         responses = list(read_jsonl(scored / "responses.jsonl"))
         responses[1]["reference_kind"] = "Absolute"

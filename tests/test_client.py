@@ -223,6 +223,26 @@ class TestCollectResponses:
                 [CacheEntry(k, k) for k in ("ab01", "ab02", "ab03")]
             assert len(reloaded) == 3
 
+    def test_repeated_prompt_is_sent_once(self, endpoint, tmp_path):
+        rows = [("i0", "absolute", "prompt p"), ("i0", "chronological", "prompt p"),
+                ("i1", "absolute", "prompt q")]
+        with ResponseCache(tmp_path / "cache") as cache:
+            records = collect_responses(rows, config_for(endpoint), cache)
+        assert endpoint.requests == 2 and sorted(endpoint.prompts) == ["prompt p", "prompt q"]
+        assert [(r.instance_id, r.reference_kind, r.raw_completion, r.error) for r in records] == [
+            ("i0", "absolute", "echo: prompt p", None),
+            ("i0", "chronological", "echo: prompt p", None),
+            ("i1", "absolute", "echo: prompt q", None)]
+        assert len((tmp_path / "cache" / "cache.jsonl").read_bytes().splitlines()) == 2
+
+    def test_repeated_prompt_shares_its_error(self, endpoint, cache):
+        endpoint.status_script = [500] * 10
+        rows = [("i0", "absolute", "prompt p"), ("i0", "chronological", "prompt p")]
+        records = collect_responses(rows, config_for(endpoint, retry_limit=1), cache,
+                                    sleep=lambda s: None)
+        assert endpoint.requests == 2   # one request and its one retry
+        assert [r.error for r in records] == ["HTTP 500", "HTTP 500"]
+
     def test_retries_then_succeeds(self, endpoint, cache):
         endpoint.status_script = [500, 429]
         waits = []
@@ -511,6 +531,23 @@ class TestResponseCacheFile:
             assert [reloaded.get(k) for k in keys] == [CacheEntry(k, k) for k in keys]
             assert len(reloaded) == len(keys)
         assert live.read_text().splitlines()[-1] == '{"prompt_hash": "k3", "raw_completion": "k3"}'
+
+    def test_tail_cut_inside_a_character_is_skipped(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with ResponseCache(cache_dir) as cache:
+            cache.put("k1", {"prompt_hash": "k1", "raw_completion": "é"})
+        live = cache_dir / "cache.jsonl"
+        with live.open("ab") as fh:   # a killed run's last row, cut inside "é"
+            fh.write('{"prompt_hash": "k2", "raw_completion": "é'.encode("utf-8")[:-1])
+        with ResponseCache(cache_dir) as cache:
+            assert len(cache) == 1 and cache.get("k1") == CacheEntry("k1", "é")
+            cache.put("k3", {"prompt_hash": "k3", "raw_completion": "k3"})
+        with ResponseCache(cache_dir) as reloaded:
+            assert [reloaded.get(k) for k in ("k1", "k3")] == \
+                [CacheEntry("k1", "é"), CacheEntry("k3", "k3")]
+            assert len(reloaded) == 2
+        assert live.read_bytes().splitlines()[-1] == \
+            b'{"prompt_hash": "k3", "raw_completion": "k3"}'
 
     def test_killed_writer_keeps_every_returned_put(self, tmp_path):
         cache_dir = tmp_path / "cache"

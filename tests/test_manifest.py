@@ -3,6 +3,7 @@ and `from_dict` checks each value's JSON type against the annotation."""
 
 import ast
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import trc_toolkit
 from trc_toolkit import cli
 from trc_toolkit.client import CacheEntry, CompletionRecord
 from trc_toolkit.errors import MalformedRecord
-from trc_toolkit.manifest import JsonRecord, _fields, encode_json
+from trc_toolkit.manifest import JsonRecord, _fields, encode_json, read_jsonl
 from trc_toolkit.metrics import EvalReport
 from trc_toolkit.prompting import PromptRow, SftRecord
 from trc_toolkit.querygen import BenchmarkInstance, ConsistencyPair, SourceRecord
@@ -78,6 +79,23 @@ def test_missing_field_takes_its_default_or_is_malformed():
     with pytest.raises(MalformedRecord) as exc:
         CompletionRecord.from_dict(row)
     assert str(exc.value) == "field 'answer' is missing"
+
+
+def test_non_utf8_line_is_malformed_or_skipped(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"a": "caf\xe9"}\n{"a": 3}\n')
+    message = f"^{re.escape(str(path))}:2: 'utf-8' codec can't decode byte 0xe9"
+    with pytest.raises(MalformedRecord, match=message):
+        list(read_jsonl(path))
+    assert list(read_jsonl(path, skip_undecodable=True)) == [{"a": 1}, {"a": 3}]
+
+
+def test_lf_and_crlf_lines_read_alike(tmp_path):
+    rows = [{"a": "é"}, {"b": [1, 2]}]
+    for newline in ("\n", "\r\n"):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(newline.join(map(json.dumps, rows)).encode("utf-8") + newline.encode())
+        assert list(read_jsonl(path)) == rows
 
 
 def _decodes_and_key_error_catches(source: str) -> set[tuple[str | None, str]]:

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from trc_toolkit.errors import ProfileMissing
 from trc_toolkit.translation import (
-    ChrfConfig,
     LanguageProfile,
     _profile_cosine,
     _trigrams,
@@ -57,7 +56,7 @@ def oracle_chrf(hyp, ref, char_max=6, word_max=2, beta=2.0):
     return 100 * sum(scores) / len(scores)
 
 
-def oracle_bleu(hyp, ref, max_order, smoothing):
+def oracle_bleu(hyp, ref, max_order):
     hyp_tokens, ref_tokens = hyp.split(), ref.split()
     logs = []
     for order in range(1, max_order + 1):
@@ -65,7 +64,7 @@ def oracle_bleu(hyp, ref, max_order, smoothing):
         if not hyp_grams:
             continue
         matched = _clipped_overlap(hyp_grams, _ngram_list(ref_tokens, order))
-        if smoothing == "add_one" and order > 1:
+        if order > 1:
             logs.append(math.log((matched + 1) / (len(hyp_grams) + 1)))
         else:
             if matched == 0:
@@ -97,7 +96,7 @@ class TestChrf:
         assert chrf_pp(hyp, ref) == pytest.approx(oracle_chrf(hyp, ref))
 
     def test_worked_example_averages_f_over_orders(self):
-        # hyp "ab", ref "abc", default config (chars 1-6, words 1-2, beta 2),
+        # hyp "ab", ref "abc", chars 1-6, words 1-2, beta 2,
         # F = (1 + b^2) P R / (b^2 P + R):
         #   char 1-grams: 2 of 2 hyp, 2 of 3 ref match: P 1, R 2/3, F 5/7
         #   char 2-grams: "ab" matches:                P 1, R 1/2, F 5/9
@@ -116,12 +115,6 @@ class TestChrf:
         assert chrf_pp("  le   chat noir ", "le chat vert") == \
             chrf_pp("le chat noir", "le chat vert")
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ChrfConfig(char_ngram_max=0)
-        with pytest.raises(ValueError):
-            ChrfConfig(beta=0)
-
     @given(st.text(alphabet="abcde ", min_size=1, max_size=30))
     @settings(max_examples=200)
     def test_identity_property(self, text):
@@ -138,17 +131,10 @@ class TestBleu:
 
     def test_disjoint(self):
         assert bleu_n("alpha beta gamma", "delta epsilon zeta", 3) == 0.0
-        assert bleu_n("alpha beta gamma", "delta epsilon zeta", 3, "none") == 0.0
 
     def test_truncated_hypothesis_matches_oracle(self):
         hyp = " ".join(SENTENCE.split()[:-1])
-        for smoothing in ("none", "add_one"):
-            assert bleu_n(hyp, SENTENCE, 3, smoothing) == \
-                pytest.approx(oracle_bleu(hyp, SENTENCE, 3, smoothing))
-
-    def test_unsmoothed_zero_precision_gives_zero(self):
-        # shares unigrams but no bigrams
-        assert bleu_n("fox the", SENTENCE, 2, "none") == 0.0
+        assert bleu_n(hyp, SENTENCE, 3) == pytest.approx(oracle_bleu(hyp, SENTENCE, 3))
 
     @given(st.lists(st.sampled_from(["alpha", "beta", "gamma", "delta"]),
                     min_size=2, max_size=10),
@@ -158,9 +144,7 @@ class TestBleu:
         reference = " ".join(tokens)
         degraded = list(tokens)
         degraded[position % len(tokens)] = "zzqx"
-        for smoothing in ("none", "add_one"):
-            assert bleu_n(" ".join(degraded), reference, 3, smoothing) <= \
-                bleu_n(reference, reference, 3, smoothing) + 1e-12
+        assert bleu_n(" ".join(degraded), reference, 3) <= bleu_n(reference, reference, 3) + 1e-12
 
     @given(st.lists(st.sampled_from(["un", "deux", "trois", "quatre"]),
                     min_size=1, max_size=8),
@@ -268,17 +252,17 @@ def _reference_word_ngrams(tokens, order):
     return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
 
 
-def _reference_chrf_pp(hypothesis, reference, config):
+def _reference_chrf_pp(hypothesis, reference, char_max=6, word_max=2, beta=2.0):
     hypothesis, reference = " ".join(hypothesis.split()), " ".join(reference.split())
     if not hypothesis and not reference:
         return 100.0
     if not hypothesis or not reference:
         return 0.0
     grams = [(_reference_char_ngrams(hypothesis, order), _reference_char_ngrams(reference, order))
-             for order in range(1, config.char_ngram_max + 1)]
+             for order in range(1, char_max + 1)]
     grams += [(_reference_word_ngrams(hypothesis.split(), order),
                _reference_word_ngrams(reference.split(), order))
-              for order in range(1, config.word_ngram_max + 1)]
+              for order in range(1, word_max + 1)]
     scores = []
     for hyp_counts, ref_counts in grams:
         total_hyp, total_ref = sum(hyp_counts.values()), sum(ref_counts.values())
@@ -292,12 +276,12 @@ def _reference_chrf_pp(hypothesis, reference, config):
         if precision + recall == 0:
             scores.append(0.0)
             continue
-        b2 = config.beta * config.beta
+        b2 = beta * beta
         scores.append((1 + b2) * precision * recall / (b2 * precision + recall))
     return 100 * sum(scores) / len(scores) if scores else 0.0
 
 
-def _reference_bleu_n(hypothesis, reference, max_order, smoothing):
+def _reference_bleu_n(hypothesis, reference, max_order):
     hyp_tokens, ref_tokens = hypothesis.split(), reference.split()
     if not hyp_tokens or not ref_tokens:
         return 0.0
@@ -308,7 +292,7 @@ def _reference_bleu_n(hypothesis, reference, max_order, smoothing):
         if total == 0:
             continue
         matched = sum((hyp_counts & _reference_word_ngrams(ref_tokens, order)).values())
-        if smoothing == "add_one" and order > 1:
+        if order > 1:
             precision = (matched + 1) / (total + 1)
         else:
             if matched == 0:
@@ -332,42 +316,35 @@ _WIDE_TEXT = st.lists(_WIDE_WORD, max_size=16).map(" ".join).map(lambda text: te
 
 class TestNgramCountingOracle:
     @settings(max_examples=300, deadline=None)
-    @given(_MT_TEXT, _MT_TEXT, st.integers(1, 7), st.integers(0, 3),
-           st.sampled_from([0.5, 1.0, 2.0, 3.0]))
-    def test_chrf_matches_per_order_counting(self, hyp, ref, char_max, word_max, beta):
-        config = ChrfConfig(char_ngram_max=char_max, word_ngram_max=word_max, beta=beta)
-        assert chrf_pp(hyp, ref, config) == _reference_chrf_pp(hyp, ref, config)
+    @given(_MT_TEXT, _MT_TEXT)
+    def test_chrf_matches_per_order_counting(self, hyp, ref):
+        assert chrf_pp(hyp, ref) == _reference_chrf_pp(hyp, ref)
 
     @settings(max_examples=300, deadline=None)
-    @given(_MT_TEXT, _MT_TEXT, st.integers(1, 5), st.sampled_from(["none", "add_one"]))
-    def test_bleu_matches_per_order_counting(self, hyp, ref, max_order, smoothing):
-        assert bleu_n(hyp, ref, max_order, smoothing) == \
-            _reference_bleu_n(hyp, ref, max_order, smoothing)
+    @given(_MT_TEXT, _MT_TEXT, st.integers(1, 5))
+    def test_bleu_matches_per_order_counting(self, hyp, ref, max_order):
+        assert bleu_n(hyp, ref, max_order) == _reference_bleu_n(hyp, ref, max_order)
 
-    # Wider text: most char orders of 3 and above repeat no n-gram on one side
-    # or both, so the clipped count is a set intersection, while digit runs
+    # Wider text: most char orders of 3 and above repeat no n-gram in the
+    # hypothesis, so the clipped count is a set intersection, while digit runs
     # ("000") and short alphabets keep the Counter fallback in play. The
     # examples repeat n-grams on the hypothesis side only.
     @settings(max_examples=300, deadline=None)
-    @given(_WIDE_TEXT, _WIDE_TEXT, st.integers(1, 7), st.integers(0, 3),
-           st.sampled_from([0.5, 2.0]))
-    @example("000 000 aa", "0 1 2 a", 6, 2, 2.0)
-    @example("the the cat cat", "the cat sat", 6, 3, 2.0)
-    @example("Worx 000-0 Worx 000-0", "Works 000-1 Works 000-2", 6, 2, 2.0)
-    def test_chrf_matches_on_wide_text(self, hyp, ref, char_max, word_max, beta):
-        config = ChrfConfig(char_ngram_max=char_max, word_ngram_max=word_max, beta=beta)
-        assert chrf_pp(hyp, ref, config) == _reference_chrf_pp(hyp, ref, config)
-        assert chrf_pp(ref, hyp, config) == _reference_chrf_pp(ref, hyp, config)
+    @given(_WIDE_TEXT, _WIDE_TEXT)
+    @example("000 000 aa", "0 1 2 a")
+    @example("the the cat cat", "the cat sat")
+    @example("Worx 000-0 Worx 000-0", "Works 000-1 Works 000-2")
+    def test_chrf_matches_on_wide_text(self, hyp, ref):
+        assert chrf_pp(hyp, ref) == _reference_chrf_pp(hyp, ref)
+        assert chrf_pp(ref, hyp) == _reference_chrf_pp(ref, hyp)
 
     @settings(max_examples=300, deadline=None)
-    @given(_WIDE_TEXT, _WIDE_TEXT, st.integers(1, 5), st.sampled_from(["none", "add_one"]))
-    @example("the the the cat", "the cat sat on", 3, "add_one")
-    @example("000 000 000-1 000 000-1", "000 000-1 000-2", 4, "none")
-    def test_bleu_matches_on_wide_text(self, hyp, ref, max_order, smoothing):
-        assert bleu_n(hyp, ref, max_order, smoothing) == \
-            _reference_bleu_n(hyp, ref, max_order, smoothing)
-        assert bleu_n(ref, hyp, max_order, smoothing) == \
-            _reference_bleu_n(ref, hyp, max_order, smoothing)
+    @given(_WIDE_TEXT, _WIDE_TEXT, st.integers(1, 5))
+    @example("the the the cat", "the cat sat on", 3)
+    @example("000 000 000-1 000 000-1", "000 000-1 000-2", 4)
+    def test_bleu_matches_on_wide_text(self, hyp, ref, max_order):
+        assert bleu_n(hyp, ref, max_order) == _reference_bleu_n(hyp, ref, max_order)
+        assert bleu_n(ref, hyp, max_order) == _reference_bleu_n(ref, hyp, max_order)
 
 
 # --- language profiles before each line's trigrams went straight into one Counter ---
