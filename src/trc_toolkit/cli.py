@@ -15,8 +15,8 @@ import click
 from . import client as client_mod
 from . import prompting, querygen, translation
 from .errors import DuplicateResponse, MalformedRecord, ToolkitError
-from .manifest import (JsonRecord, read_json, read_jsonl, write_json, write_jsonl,
-                       write_manifest, write_text)
+from .manifest import (JsonRecord, read_json, read_jsonl, read_text, write_json,
+                       write_jsonl, write_manifest, write_text)
 from .metrics import EvalReport, ResponsePair, evaluate
 from .querygen import BenchmarkInstance
 from .report import build_report, format_text_report
@@ -161,7 +161,8 @@ def collect(prompts_path, endpoint, model, output, cache_dir, style_flag,
         records = client_mod.collect_responses(triples, config, cache, style=style, seed=seed)
     write_jsonl(output, (r.to_dict() for r in records))
     failures = sum(1 for r in records if r.error)
-    _finish({"endpoint": endpoint, "model": model, "style": style.kind},
+    _finish({"endpoint": endpoint, "model": model, "style": style.kind,
+             "temperature": temperature, "max_new_tokens": max_new_tokens},
             [prompts_path], [output],
             f"collected {len(records)} responses ({failures} failed) -> {output}", seed)
     if failures:
@@ -249,8 +250,8 @@ def report_cmd(report_path, dataset, compare, output):
 @click.option("--output", required=True, type=click.Path())
 def mt_agree(hypothesis, reference, max_order, expected_lang, profiles, output):
     """Translation agreement summary: mean chrF++, mean BLEU-n, optional TSR."""
-    hyp_lines = Path(hypothesis).read_text(encoding="utf-8").splitlines()
-    ref_lines = Path(reference).read_text(encoding="utf-8").splitlines()
+    hyp_lines = read_text(hypothesis).splitlines()
+    ref_lines = read_text(reference).splitlines()
     if len(hyp_lines) != len(ref_lines):
         _fail(f"hypothesis has {len(hyp_lines)} lines, reference {len(ref_lines)}")
     if not hyp_lines:
@@ -269,7 +270,7 @@ def mt_agree(hypothesis, reference, max_order, expected_lang, profiles, output):
             lang, _, corpus = spec.partition("=")
             if not corpus:
                 _fail(f"--profile must be LANG=CORPUS, got {spec!r}")
-            lines = Path(corpus).read_text(encoding="utf-8").splitlines()
+            lines = read_text(corpus).splitlines()
             lang_profiles.append(translation.LanguageProfile.from_corpus(lang, lines))
             inputs.append(corpus)
         summary["tsr"] = round(translation.translation_success_rate(

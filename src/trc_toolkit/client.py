@@ -13,6 +13,7 @@ import hashlib
 import heapq
 import http.client
 import json
+import math
 import os
 import random
 import re
@@ -49,8 +50,12 @@ class EndpointConfig:
     timeout: float = 60.0
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if self.max_new_tokens < 1:
+            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0 seconds, got {self.timeout}")
         if not 1 <= self.parallelism <= PARALLELISM_CAP:
             raise ValueError(f"parallelism must be in [1, {PARALLELISM_CAP}]")
         if self.retry_limit < 0:
@@ -80,8 +85,24 @@ class CacheEntry(JsonRecord):
     latency: float = 0.0
 
 
-def prompt_hash(model_name: str, prompt: str) -> str:
-    return hashlib.sha256(f"{model_name}\x00{prompt}".encode("utf-8")).hexdigest()
+def request_body(model_name: str, prompt: str, temperature: float,
+                 max_new_tokens: int) -> bytes:
+    """The JSON body POSTed for one prompt."""
+    return json.dumps({
+        "model": model_name,
+        "messages": [{"role": "user", "content": prompt}],
+        "temperature": temperature,
+        "max_tokens": max_new_tokens,
+    }).encode("utf-8")
+
+
+def prompt_hash(model_name: str, prompt: str,
+                temperature: float = EndpointConfig.temperature,
+                max_new_tokens: int = EndpointConfig.max_new_tokens) -> str:
+    """The cache key of a prompt: the sha256 of its request body, so two
+    requests that differ in any generation setting never share an entry."""
+    return hashlib.sha256(request_body(model_name, prompt, temperature,
+                                       max_new_tokens)).hexdigest()
 
 
 def extract_answer(raw_completion: str, style: PromptStyle) -> str:
@@ -106,9 +127,8 @@ class ResponseCache:
     `put` and held until `close()`. Each record is one write and a flush, so a
     killed process leaves at worst a truncated final line, which loading
     skips, and the next write ends that fragment with a newline first. The
-    flush does not reach the disk, so a power loss is not covered. Older
-    `??.jsonl` shards (one per key prefix) are still read but never written.
-    A row that decodes but breaks the record rule raises `MalformedRecord`.
+    flush does not reach the disk, so a power loss is not covered. A row that
+    decodes but breaks the record rule raises `MalformedRecord`.
     """
 
     def __init__(self, directory: str | Path):
@@ -122,12 +142,12 @@ class ResponseCache:
         self._load()
 
     def _load(self):
-        # The live file loads last, so its records win over the older shards'.
+        if not self._path.exists():
+            return
         # A line that does not decode is a tail cut short by a killed run.
-        for path in sorted(self.directory.glob("*.jsonl"), key=lambda p: (p == self._path, p)):
-            for entry in read_jsonl(path, CacheEntry, skip_undecodable=True):
-                self._entries[entry.prompt_hash] = entry
-        if self._path.exists() and self._path.stat().st_size:
+        for entry in read_jsonl(self._path, CacheEntry, skip_undecodable=True):
+            self._entries[entry.prompt_hash] = entry
+        if self._path.stat().st_size:
             with self._path.open("rb") as fh:
                 fh.seek(-1, os.SEEK_END)
                 self._unterminated = fh.read(1) != b"\n"
@@ -245,18 +265,12 @@ def _readable(sock) -> bool:
     return bool(poller.poll(0))
 
 
-def _request_completion(prompt: str, config: EndpointConfig, transport: _Transport,
+def _request_completion(body: bytes, transport: _Transport,
                         conn: http.client.HTTPConnection) -> _Attempt:
     # An idle keep-alive socket that polls readable was closed by the server or
     # holds bytes nobody asked for: close it, and this request opens a new one.
     if conn.sock is not None and _readable(conn.sock):
         conn.close()
-    body = json.dumps({
-        "model": config.model_name,
-        "messages": [{"role": "user", "content": prompt}],
-        "temperature": config.temperature,
-        "max_tokens": config.max_new_tokens,
-    }).encode("utf-8")
     started = time.monotonic()
     try:
         conn.request("POST", transport.target, body, transport.headers)
@@ -288,6 +302,8 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
                       sleep=time.sleep) -> list[CompletionRecord]:
     """Fetch one completion per (instance_id, reference_kind, prompt).
 
+    A row's cache key is `prompt_hash` at the config's model and generation
+    settings; only the keys are kept, and a body is built again to be sent.
     Cache hits skip the network entirely. Rows that repeat a prompt share one
     request, sent for the first of them, and its completion or error. Failures
     that outlive the retry budget become error-marked records instead of
@@ -300,7 +316,8 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
     stopped: 401/403 stops the run after the requests already in flight and
     any backoff a worker is already waiting out.
     """
-    keys = [prompt_hash(config.model_name, p) for _, _, p in prompts]
+    settings = (config.temperature, config.max_new_tokens)
+    keys = [prompt_hash(config.model_name, p, *settings) for _, _, p in prompts]
     first: dict[str, int] = {}  # each key's first row
     for index, key in enumerate(keys):
         first.setdefault(key, index)
@@ -333,7 +350,8 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
                             sleep(wait)
                             if failures:
                                 return
-                        attempt = _request_completion(prompts[index][2], config, transport, conn)
+                        body = request_body(config.model_name, prompts[index][2], *settings)
+                        attempt = _request_completion(body, transport, conn)
                         if attempt.error is None:
                             cache.put(keys[index], {
                                 "prompt_hash": keys[index], "raw_completion": attempt.raw,

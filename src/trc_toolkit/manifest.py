@@ -95,10 +95,20 @@ def read_jsonl(path: str | Path, cls: type[JsonRecord] | None = None, *,
             yield row
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents; a byte that does not decode is a
+    MalformedRecord naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(f"{path}: {exc}") from exc
+
+
 def read_json(path: str | Path, cls: type[JsonRecord]):
     """The record of a file holding one JSON document; an error names the file."""
+    text = read_text(path)
     try:
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(json.loads(text))
     except (ValueError, MalformedRecord) as exc:
         raise MalformedRecord(f"{path}: {exc}") from exc
 
@@ -138,7 +148,7 @@ def write_manifest(command: str, config: dict, inputs: list[str | Path],
                    outputs: list[str | Path], seed: int = 0) -> Path:
     from . import __version__
 
-    primary = Path(outputs[0]) if outputs else Path(f"{command}.out")
+    primary = Path(outputs[0])
     path = primary.with_name(primary.name + ".manifest.json")
     write_json(path, {
         "command": command,

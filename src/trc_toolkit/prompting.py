@@ -230,10 +230,6 @@ class Candidates(Sequence):
             i += 1
         return self.pool.items[i]
 
-    def __iter__(self):
-        left_out = set(self.skip)
-        return (inst for pos, inst in enumerate(self.pool.items) if pos not in left_out)
-
     def most_similar(self, query: str, k: int, reference_kind: str) -> list[BenchmarkInstance]:
         index = self.pool.index(reference_kind)
         return [self.pool.items[pos] for pos in index.rank(query, k, self.skip)]

@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import kb
 from .errors import (
     DuplicateInstanceId,
     GoldAnswerMismatch,
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .kb import BEFORE, TemporalFact, neighbor_fact, parse_fact_context
 from .manifest import JsonRecord
-from .relations import RelationSpec, normalize_relation, relation_spec
+from .relations import normalize_relation, relation_spec
 
 
 @dataclass(frozen=True)
@@ -68,20 +67,6 @@ class ConsistencyPair(JsonRecord):
     id_b: str = ""
 
 
-def make_chronological_query(spec: RelationSpec, subject: str,
-                             reference_event: str, direction: str) -> str:
-    if direction not in kb.DIRECTIONS:
-        raise SlotUnresolved(f"invalid direction {direction!r}")
-    if not subject.strip():
-        raise SlotUnresolved("empty subject")
-    if not reference_event.strip():
-        raise SlotUnresolved("empty reference event")
-    return (spec.pattern
-            .replace("<subject>", subject.strip())
-            .replace("<direction>", f"right {direction}")
-            .replace("<object>", reference_event.strip()))
-
-
 _DIRECTION_RX = re.compile(r"\b(right )?(before|after)\b")
 
 
@@ -110,7 +95,7 @@ def reference_span(query: str) -> str:
 @dataclass
 class SourceRecord(JsonRecord):
     """One raw source row. A null or empty id or answer is derived, and a
-    numeric id becomes a string; an absent language is the batch's."""
+    numeric id (0 too) becomes a string; an absent language is the batch's."""
     question: str
     subject: str
     relation: str
@@ -129,7 +114,7 @@ def build_instance(record: dict, language: str = "en", *,
     memo of the fact contexts it parsed.
     """
     source = SourceRecord.from_dict(record)
-    instance_id = str(source.id or _derive_id(source))
+    instance_id = _derive_id(source) if source.id in (None, "") else str(source.id)
     language = language if source.language is None else source.language
     try:
         return _build_instance(source, instance_id, language,

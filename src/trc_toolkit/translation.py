@@ -87,8 +87,6 @@ def chrf_pp(hypothesis: str, reference: str) -> float:
                 continue
             common = clipped_count(hyp_grams, ref_grams)
             scores.append(_fbeta(common / len(hyp_grams), common / len(ref_grams)))
-    if not scores:
-        return 0.0
     return 100 * sum(scores) / len(scores)
 
 
@@ -121,8 +119,6 @@ def bleu_n(hypothesis: str, reference: str, max_order: int = 3) -> float:
             precision = matched / total
         log_sum += math.log(precision)
         used += 1
-    if used == 0:
-        return 0.0
     brevity = 1.0 if len(hyp_tokens) >= len(ref_tokens) else math.exp(
         1 - len(ref_tokens) / len(hyp_tokens))
     return brevity * math.exp(log_sum / used)

@@ -10,6 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from trc_toolkit.client import EndpointConfig, ResponseCache, collect_responses
+from trc_toolkit.manifest import read_jsonl
+from trc_toolkit.prompting import PromptRow
+
+from test_client import MockEndpoint
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 WORKLOADS = json.loads((BENCH / "workloads.json").read_text(encoding="utf-8"))
 
@@ -32,9 +38,8 @@ def test_tracer_wraps_and_unwraps_every_name(bench):
     assert left == []
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_inputs_prepare_each_workload(bench, tmp_path, monkeypatch, workload):
-    inputs, _ = bench
+def _prepare(inputs, monkeypatch, workload, out):
+    """`inputs.prepare`, and the response caches it opened, closed."""
     caches = []   # the set-up leaves its cache open until the process exits; the test closes it
 
     class ClosedAfterTest(inputs.client.ResponseCache):
@@ -44,10 +49,17 @@ def test_inputs_prepare_each_workload(bench, tmp_path, monkeypatch, workload):
 
     monkeypatch.setattr(inputs.client, "ResponseCache", ClosedAfterTest)
     try:
-        info = inputs.prepare(workload, seed=31, n_instances=40, out=tmp_path)
+        info = inputs.prepare(workload, seed=31, n_instances=40, out=out)
     finally:
         for cache in caches:
             cache.close()
+    return info, caches
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_inputs_prepare_each_workload(bench, tmp_path, monkeypatch, workload):
+    inputs, _ = bench
+    info, caches = _prepare(inputs, monkeypatch, workload, tmp_path)
     assert info["instances"] == 40 and info["records"] > 0
     assert (tmp_path / ("source.jsonl" if workload != "collect-cold" else "dataset.jsonl")).exists()
     if workload != "semantic-prompt":
@@ -55,3 +67,21 @@ def test_inputs_prepare_each_workload(bench, tmp_path, monkeypatch, workload):
         assert len((tmp_path / "prompts.jsonl").read_text(encoding="utf-8").splitlines()) == 80
     if workload == "offline-warm":
         assert len(caches) == 1 and len(caches[0]) == 80
+
+
+def test_offline_warm_prefill_is_all_hits_for_collect(bench, tmp_path, monkeypatch):
+    """The cache keys the set-up writes are the keys `collect` looks up at its
+    default settings, so the warm collect sends nothing."""
+    inputs, _ = bench
+    _prepare(inputs, monkeypatch, "offline-warm", tmp_path)
+    rows = [(r.instance_id, r.reference_kind, r.prompt)
+            for r in read_jsonl(tmp_path / "prompts.jsonl", PromptRow)]
+    endpoint = MockEndpoint()
+    try:
+        config = EndpointConfig(base_url=endpoint.url, model_name=inputs.MODEL)
+        with ResponseCache(tmp_path / "cache") as cache:
+            records = collect_responses(rows, config, cache)
+    finally:
+        endpoint.close()
+    assert endpoint.requests == 0
+    assert len(records) == 80 and all(r.error is None for r in records)

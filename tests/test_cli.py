@@ -328,6 +328,47 @@ class TestCollect:
         finally:
             endpoint.close()
 
+    def test_manifest_records_generation_settings(self, workspace):
+        write_jsonl(workspace / "tprompts.jsonl", [
+            {"instance_id": "t0", "reference_kind": "absolute", "prompt": "warm or cold"}])
+        endpoint = MockEndpoint()
+        digests = []
+        try:
+            for temperature in (0, 0.7):
+                output = workspace / f"temp{temperature}.jsonl"
+                result = trc("collect", "--prompts", workspace / "tprompts.jsonl",
+                             "--endpoint", endpoint.url, "--model", "demo", "--output", output,
+                             "--cache-dir", workspace / "cache_t", "--temperature", temperature)
+                assert result.returncode == 0, result.stderr
+                manifest = Path(f"{output}.manifest.json").read_text()
+                digests.append(json.loads(manifest)["config_digest"])
+        finally:
+            endpoint.close()
+        assert endpoint.requests == 2   # the second setting is no cache hit
+        assert digests[0] != digests[1]
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--timeout", 0, "timeout must be > 0 seconds, got 0.0"),
+        ("--timeout", -1, "timeout must be > 0 seconds, got -1.0"),
+        ("--max-new-tokens", 0, "max_new_tokens must be >= 1, got 0"),
+        ("--temperature", "nan", "temperature must be finite and >= 0, got nan"),
+    ])
+    def test_unusable_setting_exits_1_before_any_request(self, workspace, option, value,
+                                                          message):
+        write_jsonl(workspace / "uprompts.jsonl", [
+            {"instance_id": "u0", "reference_kind": "absolute", "prompt": "never sent"}])
+        endpoint = MockEndpoint()
+        try:
+            result = trc("collect", "--prompts", workspace / "uprompts.jsonl",
+                         "--endpoint", endpoint.url, "--model", "demo",
+                         "--output", workspace / "unsent.jsonl",
+                         "--cache-dir", workspace / "cache_u", option, value)
+        finally:
+            endpoint.close()
+        assert (result.returncode, result.stderr) == (1, f"error: {message}\n")
+        assert endpoint.requests == 0
+        assert not (workspace / "unsent.jsonl").exists()
+
     @pytest.mark.parametrize("line, message", [
         ("[1, 2]", "row is array, expected object"),
         ('{"a": 1}', "field 'prompt_hash' is missing"),
@@ -383,6 +424,19 @@ class TestMtAgree:
                      "--reference", workspace / "short.txt",
                      "--output", workspace / "bad.json")
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("latin1", ["hypothesis", "reference", "profile"])
+    def test_non_utf8_input_is_named(self, tmp_path, latin1):
+        files = {name: tmp_path / f"{name}.txt" for name in ("hypothesis", "reference", "profile")}
+        for name, path in files.items():
+            path.write_bytes("le café noir\n".encode("latin-1" if name == latin1 else "utf-8"))
+        result = trc("mt-agree", "--hypothesis", files["hypothesis"],
+                     "--reference", files["reference"], "--expected-lang", "fr",
+                     "--profile", f"fr={files['profile']}", "--output", tmp_path / "mt.json")
+        assert result.returncode == 1
+        assert result.stderr == (f"error: {files[latin1]}: 'utf-8' codec can't decode byte "
+                                 "0xe9 in position 6: invalid continuation byte\n")
+        assert not (tmp_path / "mt.json").exists()
 
 
 class TestSubsample:

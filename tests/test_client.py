@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 import signal
@@ -35,6 +36,7 @@ class MockEndpoint:
     def __init__(self):
         self.requests = 0
         self.prompts = []  # prompt of every request, in arrival order
+        self.bodies = []  # raw body of every request, in arrival order
         self.targets = []  # request target of every request, in arrival order
         self.headers = []  # request headers of every request, in arrival order
         self.drop_connections = False  # close the socket after each reply, unannounced
@@ -59,11 +61,12 @@ class MockEndpoint:
 
             def do_POST(self):
                 self._done = False
-                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                prompt = body["messages"][0]["content"]
+                raw = self.rfile.read(int(self.headers["Content-Length"]))
+                prompt = json.loads(raw)["messages"][0]["content"]
                 with mock._lock:
                     mock.requests += 1
                     mock.prompts.append(prompt)
+                    mock.bodies.append(raw)
                     mock.targets.append(self.path)
                     mock.headers.append(dict(self.headers))
                     mock.in_flight += 1
@@ -457,6 +460,28 @@ class TestCollectResponses:
         with pytest.raises(ValueError):
             EndpointConfig(base_url="http://x", model_name="m", parallelism=64)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")),
+        ("max_new_tokens", 0), ("max_new_tokens", -5),
+        ("temperature", -0.1), ("temperature", float("nan")), ("temperature", float("inf")),
+    ])
+    def test_setting_out_of_range_is_refused(self, setting, value):
+        with pytest.raises(ValueError, match=setting):
+            EndpointConfig(base_url="http://x", model_name="m", **{setting: value})
+
+    def test_settings_at_their_bounds_are_accepted(self):
+        EndpointConfig(base_url="http://x", model_name="m", temperature=0.0,
+                       max_new_tokens=1, timeout=0.001)
+
+    def test_generation_settings_split_the_cache(self, endpoint, tmp_path):
+        with ResponseCache(tmp_path / "cache") as cache:
+            for temperature in (0.0, 0.7, 0.0, 0.7):
+                collect_responses(PROMPTS[:1], config_for(endpoint, temperature=temperature),
+                                  cache)
+        assert endpoint.requests == 2
+        assert [json.loads(body)["temperature"] for body in endpoint.bodies] == [0.0, 0.7]
+        assert len((tmp_path / "cache" / "cache.jsonl").read_text().splitlines()) == 2
+
 
 def _snapshot(directory):
     """Every file in `directory`, by name, as its bytes and modification time."""
@@ -483,27 +508,16 @@ class TestResponseCacheFile:
         lines = (tmp_path / "cache" / "cache.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(PROMPTS)
 
-    def test_sharded_layout_is_read_but_not_written(self, endpoint, tmp_path):
+    def test_legacy_shard_is_not_read(self, endpoint, tmp_path):
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
-        cached, fresh = PROMPTS[:3], PROMPTS[3:]
-        for _, _, prompt in cached:  # the layout of one file per two-hex-digit key prefix
-            key = prompt_hash("test-model", prompt)
-            with (cache_dir / f"{key[:2]}.jsonl").open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"prompt_hash": key, "raw_completion": f"old {prompt}",
-                                     "latency": 0.5, "model_name": "test-model"},
-                                    ensure_ascii=False) + "\n")
-        legacy = _snapshot(cache_dir)
+        key = prompt_hash("test-model", "prompt 0")  # the key the shard would need
+        (cache_dir / "ab.jsonl").write_text(json.dumps(
+            {"prompt_hash": key, "raw_completion": "old", "latency": 0.5}) + "\n")
         with ResponseCache(cache_dir) as cache:
-            records = collect_responses(PROMPTS, config_for(endpoint), cache)
-        assert sorted(endpoint.prompts) == [p for _, _, p in fresh]
-        assert [r.raw_completion for r in records[:3]] == [f"old {p}" for _, _, p in cached]
-        after = _snapshot(cache_dir)
-        assert {name: after[name] for name in legacy} == legacy
-        assert set(after) == set(legacy) | {"cache.jsonl"}
-        written = [json.loads(line) for line in after["cache.jsonl"][0].splitlines()]
-        assert sorted(r["prompt_hash"] for r in written) == \
-            sorted(prompt_hash("test-model", p) for _, _, p in fresh)
+            assert len(cache) == 0
+            [record] = collect_responses(PROMPTS[:1], config_for(endpoint), cache)
+        assert (endpoint.requests, record.raw_completion) == (1, "echo: prompt 0")
 
     def test_warm_collect_touches_nothing(self, endpoint, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -584,6 +598,19 @@ class TestResponseCacheFile:
 class TestPromptHash:
     def test_includes_model_name(self):
         assert prompt_hash("model-a", "p") != prompt_hash("model-b", "p")
+
+    def test_is_the_digest_of_the_bytes_sent(self, endpoint, cache):
+        config = config_for(endpoint, temperature=0.3, max_new_tokens=7)
+        [record] = collect_responses(PROMPTS[:1], config, cache)
+        [body] = endpoint.bodies
+        assert hashlib.sha256(body).hexdigest() == record.prompt_hash
+        assert record.prompt_hash == prompt_hash("test-model", "prompt 0", 0.3, 7)
+        assert json.loads(body)["temperature"] == 0.3 and json.loads(body)["max_tokens"] == 7
+
+    def test_defaults_are_the_endpoint_defaults(self):
+        defaults = EndpointConfig(base_url="http://x", model_name="m")
+        assert prompt_hash("m", "p") == \
+            prompt_hash("m", "p", defaults.temperature, defaults.max_new_tokens)
 
     def test_deterministic(self):
         assert prompt_hash("m", "p") == prompt_hash("m", "p")

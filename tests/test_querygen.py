@@ -13,7 +13,6 @@ from trc_toolkit.errors import (
     MalformedRecord,
     ReferenceEventNotFound,
     SampleTooLarge,
-    SlotUnresolved,
     ToolkitError,
 )
 from trc_toolkit.querygen import (
@@ -21,10 +20,9 @@ from trc_toolkit.querygen import (
     build_consistency_pairs,
     build_dataset,
     build_instance,
-    make_chronological_query,
     reference_span,
 )
-from trc_toolkit.relations import RELATIONS, RelationSpec, relation_spec
+from trc_toolkit.relations import RELATIONS, RelationSpec
 from trc_toolkit.report import ENTITY_ORDER
 
 from conftest import (
@@ -67,27 +65,6 @@ class TestRelationSpec:
 
     def test_entity_order_covers_every_relation(self):
         assert set(ENTITY_ORDER) == {spec.entity_type for spec in RELATIONS.values()}
-
-
-class TestMakeChronologicalQuery:
-    def test_pelikan(self):
-        query = make_chronological_query(
-            relation_spec("employer"), "Jaroslav Pelikan",
-            "Concordia Seminary", "before")
-        assert query == PELIKAN_QUERY_CHRONOLOGICAL
-
-    def test_brodrick(self):
-        query = make_chronological_query(
-            relation_spec("position_held"),
-            "St John Brodrick, 1st Earl of Midleton",
-            "Member of the 23rd Parliament of the United Kingdom", "before")
-        assert query == ("Which position did St John Brodrick, 1st Earl of Midleton "
-                         "hold right before Member of the 23rd Parliament of the "
-                         "United Kingdom?")
-
-    def test_empty_reference_event(self):
-        with pytest.raises(SlotUnresolved):
-            make_chronological_query(relation_spec("employer"), "X", "  ", "before")
 
 
 class TestMakeAbsoluteQuery:
@@ -301,6 +278,17 @@ class TestSyntheticBatch:
     def test_numeric_id_becomes_a_string(self, pelikan_record):
         instances, skips = build_dataset([dict(pelikan_record, id=17)])
         assert [inst.id for inst in instances] == ["17"] and skips == []
+
+    @pytest.mark.parametrize("value, expected", [(0, "0"), (0.0, "0.0")])
+    def test_numeric_zero_id_is_kept(self, pelikan_record, value, expected):
+        assert build_instance(dict(pelikan_record, id=value)).id == expected
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_null_or_empty_id_is_derived(self, pelikan_record, value):
+        derived = build_instance(dict(pelikan_record, id=value)).id
+        assert re.fullmatch("[0-9a-f]{12}", derived)
+        assert derived == build_instance({k: v for k, v in pelikan_record.items()
+                                          if k != "id"}).id
 
     @pytest.mark.parametrize("given, expected", [({}, "fr"), ({"language": ""}, ""),
                                                  ({"language": "de"}, "de")])
