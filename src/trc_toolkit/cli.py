@@ -139,31 +139,27 @@ def prompt(dataset, pool, style_flag, shots, reference, seed, output, preview):
 @click.option("--model", required=True)
 @click.option("--output", required=True, type=click.Path())
 @click.option("--cache-dir", required=True, type=click.Path())
-@click.option("--style", "style_flag", type=click.Choice(sorted(STYLE_BY_FLAG)),
-              default="icl", show_default=True)
 @click.option("--temperature", default=_ENDPOINT.temperature, show_default=True, type=float)
 @click.option("--max-new-tokens", default=_ENDPOINT.max_new_tokens, show_default=True, type=int)
 @click.option("--parallelism", default=_ENDPOINT.parallelism, show_default=True, type=int)
 @click.option("--retry-limit", default=_ENDPOINT.retry_limit, show_default=True, type=int)
 @click.option("--timeout", default=_ENDPOINT.timeout, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
-def collect(prompts_path, endpoint, model, output, cache_dir, style_flag,
-            temperature, max_new_tokens, parallelism, retry_limit, timeout, seed):
+def collect(prompts_path, endpoint, model, output, cache_dir, temperature,
+            max_new_tokens, parallelism, retry_limit, timeout, seed):
     """Collect model completions for rendered prompts."""
     config = client_mod.EndpointConfig(
         base_url=endpoint, model_name=model, temperature=temperature,
         max_new_tokens=max_new_tokens, parallelism=parallelism,
         retry_limit=retry_limit, timeout=timeout)
-    style = prompting.PromptStyle(STYLE_BY_FLAG[style_flag])
     triples = [(r.instance_id, r.reference_kind, r.prompt)
                for r in read_jsonl(prompts_path, prompting.PromptRow)]
     with client_mod.ResponseCache(cache_dir) as cache:
-        records = client_mod.collect_responses(triples, config, cache, style=style, seed=seed)
+        records = client_mod.collect_responses(triples, config, cache, seed=seed)
     write_jsonl(output, (r.to_dict() for r in records))
     failures = sum(1 for r in records if r.error)
-    _finish({"endpoint": endpoint, "model": model, "style": style.kind,
-             "temperature": temperature, "max_new_tokens": max_new_tokens},
-            [prompts_path], [output],
+    _finish({"endpoint": endpoint, "model": model, "temperature": temperature,
+             "max_new_tokens": max_new_tokens}, [prompts_path], [output],
             f"collected {len(records)} responses ({failures} failed) -> {output}", seed)
     if failures:
         sys.exit(2)

@@ -31,10 +31,11 @@ from urllib.parse import unquote, urlsplit
 
 from .errors import AuthFailure
 from .manifest import JsonRecord, encode_json, json_type, read_jsonl
-from .prompting import PromptStyle
+from .prompting import REASONING
 
 PARALLELISM_CAP = 16
 API_KEY_ENV = "TRC_API_KEY"
+RETRY_WAIT_CAP = 60.0  # seconds: the longest wait before a retry, whatever the server asks
 
 _ANSWER_MARKER = re.compile(r"(?i)\banswer\s*[:：]")
 
@@ -56,6 +57,8 @@ class EndpointConfig:
             raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be > 0 seconds, got {self.timeout}")
+        if self.timeout > threading.TIMEOUT_MAX:  # more than a socket accepts
+            raise ValueError(f"timeout must be <= {threading.TIMEOUT_MAX} s, got {self.timeout}")
         if not 1 <= self.parallelism <= PARALLELISM_CAP:
             raise ValueError(f"parallelism must be in [1, {PARALLELISM_CAP}]")
         if self.retry_limit < 0:
@@ -105,12 +108,13 @@ def prompt_hash(model_name: str, prompt: str,
                                        max_new_tokens)).hexdigest()
 
 
-def extract_answer(raw_completion: str, style: PromptStyle) -> str:
-    """Rule-based answer extraction; unextractable completions yield ""."""
+def extract_answer(raw_completion: str, prompt: str) -> str:
+    """The completion's first line or, for a prompt whose demos show a reasoning
+    line, the text after its last `Answer:` (else its last line); "" if empty."""
     lines = [line.strip() for line in raw_completion.splitlines() if line.strip()]
     if not lines:
         return ""
-    if style.kind != "semantic_cot":
+    if "\n" + REASONING not in prompt:  # a reasoning line follows its demo's question
         return lines[0]
     matches = list(_ANSWER_MARKER.finditer(raw_completion))
     if matches:
@@ -194,17 +198,17 @@ class _Attempt:
 
 
 def _backoff(attempt: int, rng: random.Random) -> float:
-    """0.5 s, doubled per earlier failed attempt, times a jitter in [1, 2)."""
-    return 0.5 * (2 ** attempt) * (1 + rng.random())
+    """0.5 s, doubled per earlier failed attempt up to 2^64, times a jitter in [1, 2); capped."""
+    return min(0.5 * 2.0 ** min(attempt, 64) * (1 + rng.random()), RETRY_WAIT_CAP)
 
 
 def _retry_after(value: Optional[str]) -> float:
-    """Delta-seconds of a Retry-After header (RFC 9110 §10.2.3); 0 otherwise.
+    """Delta-seconds of a Retry-After header (RFC 9110 §10.2.3), capped; 0 otherwise.
 
     An HTTP-date value is not honoured: the client's own backoff applies.
     """
     value = (value or "").strip()
-    return float(value) if value.isascii() and value.isdigit() else 0.0
+    return min(float(value), RETRY_WAIT_CAP) if value.isascii() and value.isdigit() else 0.0
 
 
 class _Transport:
@@ -297,7 +301,6 @@ def _request_completion(body: bytes, transport: _Transport,
 def collect_responses(prompts: Sequence[tuple[str, str, str]],
                       config: EndpointConfig,
                       cache: ResponseCache,
-                      style: PromptStyle = PromptStyle("icl"),
                       seed: int = 0, *,
                       sleep=time.sleep) -> list[CompletionRecord]:
     """Fetch one completion per (instance_id, reference_kind, prompt).
@@ -391,7 +394,7 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
             raise failures[0]
 
     records = []
-    for (instance_id, reference_kind, _prompt), key in zip(prompts, keys):
+    for (instance_id, reference_kind, prompt), key in zip(prompts, keys):
         cached = cache.get(key)
         if cached is None:  # a fresh key that ran out of retries
             raw, latency, error = "", 0.0, errors[key]
@@ -399,6 +402,6 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
             raw, latency, error = cached.raw_completion, cached.latency, None
         records.append(CompletionRecord(
             instance_id=instance_id, reference_kind=reference_kind, prompt_hash=key,
-            raw_completion=raw, answer=extract_answer(raw, style),
+            raw_completion=raw, answer=extract_answer(raw, prompt),
             model_name=config.model_name, latency=latency, error=error))
     return records

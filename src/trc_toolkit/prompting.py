@@ -23,6 +23,7 @@ from .querygen import BenchmarkInstance
 STYLE_KINDS = ("zero_shot", "icl", "semantic_icl", "semantic_cot")
 REFERENCE_KINDS = ("absolute", "chronological")
 PAIRINGS = ("cross", "unilateral_absolute")
+REASONING = "Reasoning: "  # the label of a semantic-cot demo's reasoning; no other style has it
 
 # Under cross pairing each reference kind is matched with its aligned rationale:
 # absolute queries with the event-oriented pathway, chronological with the
@@ -274,7 +275,7 @@ def render_prompt(query: str, demos: list[BenchmarkInstance],
     for demo in demos:
         lines = [f"Question: {demo.query(reference_kind)}"]
         if style.kind == "semantic_cot":
-            lines.append(f"Reasoning: {demo.pathway(PATHWAY_FOR_REFERENCE[reference_kind])}")
+            lines.append(f"{REASONING}{demo.pathway(PATHWAY_FOR_REFERENCE[reference_kind])}")
         lines.append(f"Answer: {demo.answer}")
         blocks.append("\n".join(lines))
     blocks.append(f"Question: {query}\nAnswer:")

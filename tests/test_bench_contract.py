@@ -1,8 +1,9 @@
 """The names the benchmark under bench/ calls still exist.
 
-The benchmark wraps toolkit functions and methods by name (`bench/tracer.py`)
-and builds its inputs with toolkit calls (`bench/inputs.py`). A rename that
-breaks either fails here, in the unit suite, not first in a benchmark run.
+The benchmark wraps toolkit functions and methods by name (`bench/tracer.py`),
+builds its inputs with toolkit calls (`bench/inputs.py`) and runs `trc`
+commands with options (`bench/worker.py`). A rename that breaks any of them
+fails here, in the unit suite, not first in a benchmark run.
 """
 
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from trc_toolkit import cli
 from trc_toolkit.client import EndpointConfig, ResponseCache, collect_responses
 from trc_toolkit.manifest import read_jsonl
 from trc_toolkit.prompting import PromptRow
@@ -26,6 +28,17 @@ def bench(monkeypatch):
     import inputs
     import tracer
     return inputs, tracer
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_option_the_worker_passes_is_declared(bench, tmp_path, workload):
+    import worker
+    plan = worker.stages(workload, seed=31, inputs=tmp_path, port=9, n_instances=40)
+    argvs = [step for _, step in plan if not callable(step)]
+    assert argvs
+    for command, *args in argvs:
+        declared = {opt for param in cli.main.commands[command].params for opt in param.opts}
+        assert {a for a in args if a.startswith("--")} <= declared, command
 
 
 def test_tracer_wraps_and_unwraps_every_name(bench):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -352,6 +353,7 @@ class TestCollect:
         ("--timeout", -1, "timeout must be > 0 seconds, got -1.0"),
         ("--max-new-tokens", 0, "max_new_tokens must be >= 1, got 0"),
         ("--temperature", "nan", "temperature must be finite and >= 0, got nan"),
+        ("--timeout", "inf", f"timeout must be <= {threading.TIMEOUT_MAX} s, got inf"),
     ])
     def test_unusable_setting_exits_1_before_any_request(self, workspace, option, value,
                                                           message):
@@ -368,6 +370,29 @@ class TestCollect:
         assert (result.returncode, result.stderr) == (1, f"error: {message}\n")
         assert endpoint.requests == 0
         assert not (workspace / "unsent.jsonl").exists()
+
+    def test_each_prompt_row_is_read_by_its_own_style(self, workspace, tmp_path):
+        """With no option, a semantic-cot row is read after `Answer:` and an
+        icl row of the same file by its first line."""
+        rows = []
+        for style in ("semantic-cot", "icl"):
+            result = trc("prompt", "--dataset", workspace / "data.jsonl", "--style", style,
+                         "--shots", 2, "--output", tmp_path / f"{style}.jsonl")
+            assert result.returncode == 0, result.stderr
+            rows += list(read_jsonl(tmp_path / f"{style}.jsonl"))[:3]
+        write_jsonl(tmp_path / "mixed.jsonl", rows)
+        endpoint = MockEndpoint()
+        endpoint.reply = lambda prompt: "because of a reasoning line\nAnswer: X"
+        try:
+            result = trc("collect", "--prompts", tmp_path / "mixed.jsonl",
+                         "--endpoint", endpoint.url, "--model", "demo",
+                         "--output", tmp_path / "responses.jsonl",
+                         "--cache-dir", tmp_path / "cache")
+        finally:
+            endpoint.close()
+        assert result.returncode == 0, result.stderr
+        assert [r["answer"] for r in read_jsonl(tmp_path / "responses.jsonl")] == \
+            ["X"] * 3 + ["because of a reasoning line"] * 3
 
     @pytest.mark.parametrize("line, message", [
         ("[1, 2]", "row is array, expected object"),

@@ -2,6 +2,7 @@ import base64
 import hashlib
 import json
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -15,15 +16,18 @@ import pytest
 
 import trc_toolkit
 from trc_toolkit.client import (
+    RETRY_WAIT_CAP,
     CacheEntry,
     EndpointConfig,
     ResponseCache,
+    _backoff,
     collect_responses,
     extract_answer,
     prompt_hash,
 )
 from trc_toolkit.errors import AuthFailure
-from trc_toolkit.prompting import PromptStyle
+from trc_toolkit.prompting import (REFERENCE_KINDS, STYLE_KINDS, DemoPool, PromptStyle,
+                                   render_prompt, select_demonstrations)
 
 
 class MockEndpoint:
@@ -313,6 +317,7 @@ class TestCollectResponses:
         ("0", 0.4, 1.0),  # shorter than the backoff: the backoff wins
         ("Wed, 21 Oct 2015 07:28:00 GMT", 0.4, 1.0),  # HTTP-date: backoff
         (None, 0.4, 1.0),  # no header: backoff
+        ("86400", RETRY_WAIT_CAP - 1, RETRY_WAIT_CAP),  # a day: the cap wins
     ])
     def test_retry_after_on_429(self, endpoint, cache, retry_after, low, high):
         endpoint.status_script = [429]
@@ -324,6 +329,10 @@ class TestCollectResponses:
         assert len(waits) == 1
         # The first backoff is 0.5 * (1 + u) s with u in [0, 1).
         assert low < waits[0] <= high
+
+    @pytest.mark.parametrize("attempt", [30, 5000])
+    def test_backoff_is_capped(self, attempt):
+        assert _backoff(attempt, random.Random(0)) == RETRY_WAIT_CAP
 
     def test_auth_failure_stops_the_batch(self, endpoint, cache):
         endpoint.status_script = [401]
@@ -462,6 +471,7 @@ class TestCollectResponses:
 
     @pytest.mark.parametrize("setting, value", [
         ("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")),
+        ("timeout", float("inf")), ("timeout", 1e10),
         ("max_new_tokens", 0), ("max_new_tokens", -5),
         ("temperature", -0.1), ("temperature", float("nan")), ("temperature", float("inf")),
     ])
@@ -469,9 +479,12 @@ class TestCollectResponses:
         with pytest.raises(ValueError, match=setting):
             EndpointConfig(base_url="http://x", model_name="m", **{setting: value})
 
-    def test_settings_at_their_bounds_are_accepted(self):
+    def test_settings_at_their_bounds_are_accepted(self, endpoint, cache):
         EndpointConfig(base_url="http://x", model_name="m", temperature=0.0,
                        max_new_tokens=1, timeout=0.001)
+        # a socket takes the longest timeout
+        config = config_for(endpoint, timeout=threading.TIMEOUT_MAX)
+        assert [r.error for r in collect_responses(PROMPTS[:1], config, cache)] == [None]
 
     def test_generation_settings_split_the_cache(self, endpoint, tmp_path):
         with ResponseCache(tmp_path / "cache") as cache:
@@ -616,21 +629,45 @@ class TestPromptHash:
         assert prompt_hash("m", "p") == prompt_hash("m", "p")
 
 
+def _prompt(kind, instance):
+    """A prompt of one style with `instance` as its one demo."""
+    return render_prompt("Who?", [instance], PromptStyle(kind, 1), "chronological")
+
+
 class TestExtractAnswer:
-    def test_icl_first_line(self):
-        assert extract_answer("valparaiso university\n", PromptStyle("icl")) == \
+    def test_icl_first_line(self, pelikan_instance):
+        assert extract_answer("valparaiso university\n", _prompt("icl", pelikan_instance)) == \
             "valparaiso university"
 
-    def test_cot_last_line_fallback(self):
+    def test_cot_last_line_fallback(self, pelikan_instance):
         raw = ("because jaroslav pelikan worked for concordia seminary from "
                "january 1949 to january 1953, and right before january 1949, "
                "jaroslav pelikan worked for valparaiso university.\n"
                "valparaiso university")
-        assert extract_answer(raw, PromptStyle("semantic_cot")) == "valparaiso university"
+        assert extract_answer(raw, _prompt("semantic_cot", pelikan_instance)) == \
+            "valparaiso university"
 
-    def test_cot_answer_marker(self):
+    def test_cot_answer_marker(self, pelikan_instance):
         raw = "reasoning goes here\nAnswer: fc ingolstadt 04\ntrailing note"
-        assert extract_answer(raw, PromptStyle("semantic_cot")) == "fc ingolstadt 04"
+        assert extract_answer(raw, _prompt("semantic_cot", pelikan_instance)) == \
+            "fc ingolstadt 04"
 
-    def test_empty(self):
-        assert extract_answer("", PromptStyle("icl")) == ""
+    def test_empty(self, pelikan_instance):
+        assert extract_answer("", _prompt("icl", pelikan_instance)) == ""
+
+    @pytest.mark.parametrize("kind", STYLE_KINDS)
+    @pytest.mark.parametrize("reference", REFERENCE_KINDS)
+    def test_the_rule_follows_the_rendered_style(self, synthetic_dataset, kind, reference):
+        """Only a semantic-cot prompt with demos is read after `Answer:`."""
+        pool = DemoPool(synthetic_dataset)
+        raw = "because of a reasoning line\nAnswer: the answer"
+        for shots in (0, 1, 3):
+            style = PromptStyle(kind, shots)
+            cot = kind == "semantic_cot" and shots > 0
+            for inst in synthetic_dataset:
+                query = inst.query(reference)
+                demos = select_demonstrations(pool.without(inst.id), query, style, 0,
+                                              reference_kind=reference)
+                prompt = render_prompt(query, demos, style, reference)
+                assert extract_answer(raw, prompt) == \
+                    ("the answer" if cot else "because of a reasoning line"), (shots, inst.id)
