@@ -81,15 +81,14 @@ def pairs(dataset, n, seed, output):
 @click.option("--dataset", required=True, type=click.Path(exists=True))
 @click.option("--pairing", type=click.Choice(["cross", "unilateral"]),
               default="cross", show_default=True)
-@click.option("--instruction", default=prompting.DEFAULT_INSTRUCTION)
 @click.option("--output", required=True, type=click.Path())
-def export_sft(dataset, pairing, instruction, output):
+def export_sft(dataset, pairing, output):
     """Export instruction-tuning records under the chosen pathway pairing."""
     pairing_mode = "unilateral_absolute" if pairing == "unilateral" else "cross"
     instances = list(read_jsonl(dataset, BenchmarkInstance))
-    records = prompting.export_sft(instances, pairing_mode, instruction)
+    records = prompting.export_sft(instances, pairing_mode)
     write_jsonl(output, (r.to_dict() for r in records))
-    _finish({"pairing": pairing_mode, "instruction": instruction}, [dataset], [output],
+    _finish({"pairing": pairing_mode}, [dataset], [output],
             f"wrote {len(records)} SFT records -> {output}")
 
 
@@ -105,9 +104,7 @@ def export_sft(dataset, pairing, instruction, output):
               default="chronological", show_default=True)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--output", required=True, type=click.Path())
-@click.option("--preview", type=click.Path(), default=None,
-              help="Also write the first rendered prompt as plain text.")
-def prompt(dataset, pool, style_flag, shots, reference, seed, output, preview):
+def prompt(dataset, pool, style_flag, shots, reference, seed, output):
     """Render evaluation prompts for every instance in the dataset."""
     style = prompting.PromptStyle(STYLE_BY_FLAG[style_flag], shots)
     targets = list(read_jsonl(dataset, BenchmarkInstance))
@@ -126,8 +123,6 @@ def prompt(dataset, pool, style_flag, shots, reference, seed, output, preview):
         rows.append(prompting.PromptRow(
             inst.id, reference, prompting.render_prompt(query, demos, style, reference)))
     write_jsonl(output, (row.to_dict() for row in rows))
-    if preview and rows:
-        write_text(preview, rows[0].prompt + "\n")
     inputs = [dataset] + ([pool] if pool else [])
     _finish({"style": style.kind, "shots": style.shots, "reference": reference},
             inputs, [output], f"wrote {len(rows)} prompts -> {output}", seed)
@@ -201,14 +196,13 @@ def _group_responses(responses) -> list[ResponsePair]:
 @click.option("--dataset", required=True, type=click.Path(exists=True))
 @click.option("--responses", required=True, type=click.Path(exists=True))
 @click.option("--output", required=True, type=click.Path())
-@click.option("--strict", is_flag=True, help="Compare raw strings, no normalization.")
-def evaluate_cmd(dataset, responses, output, strict):
+def evaluate_cmd(dataset, responses, output):
     """Score collected responses against the dataset."""
     instances = list(read_jsonl(dataset, BenchmarkInstance))
     pairs = _group_responses(read_jsonl(responses, _Response))
-    report = evaluate(instances, pairs, strict=strict)
+    report = evaluate(instances, pairs)
     write_json(output, report.to_dict())
-    _finish({"strict": strict}, [dataset, responses], [output],
+    _finish({}, [dataset, responses], [output],
             f"scored {report.m} pairs -> {output}")
 
 
@@ -238,14 +232,15 @@ def report_cmd(report_path, dataset, compare, output):
               help="Plain-text file, one hypothesis per line.")
 @click.option("--reference", required=True, type=click.Path(exists=True),
               help="Parallel plain-text file of references.")
-@click.option("--max-order", default=3, show_default=True, type=int)
 @click.option("--expected-lang", default=None,
               help="Language code the hypotheses should be in (enables TSR).")
 @click.option("--profile", "profiles", multiple=True, metavar="LANG=CORPUS",
-              help="Language profile corpus, repeatable.")
+              help="Language profile corpus, repeatable; needs --expected-lang.")
 @click.option("--output", required=True, type=click.Path())
-def mt_agree(hypothesis, reference, max_order, expected_lang, profiles, output):
-    """Translation agreement summary: mean chrF++, mean BLEU-n, optional TSR."""
+def mt_agree(hypothesis, reference, expected_lang, profiles, output):
+    """Translation agreement summary: mean chrF++, mean BLEU-3, optional TSR."""
+    if profiles and not expected_lang:
+        _fail("--profile needs --expected-lang")
     hyp_lines = read_text(hypothesis).splitlines()
     ref_lines = read_text(reference).splitlines()
     if len(hyp_lines) != len(ref_lines):
@@ -253,7 +248,7 @@ def mt_agree(hypothesis, reference, max_order, expected_lang, profiles, output):
     if not hyp_lines:
         _fail("empty input files")
     chrf_scores = [translation.chrf_pp(h, r) for h, r in zip(hyp_lines, ref_lines)]
-    bleu_scores = [translation.bleu_n(h, r, max_order) for h, r in zip(hyp_lines, ref_lines)]
+    bleu_scores = [translation.bleu_n(h, r) for h, r in zip(hyp_lines, ref_lines)]
     summary = {
         "chrf_pp_mean": round(sum(chrf_scores) / len(chrf_scores), 2),
         "bleu_n_mean": round(sum(bleu_scores) / len(bleu_scores), 4),
@@ -272,7 +267,7 @@ def mt_agree(hypothesis, reference, max_order, expected_lang, profiles, output):
         summary["tsr"] = round(translation.translation_success_rate(
             hyp_lines, expected_lang, lang_profiles), 2)
     write_json(output, summary)
-    _finish({"max_order": max_order, "expected_lang": expected_lang}, inputs, [output],
+    _finish({"expected_lang": expected_lang}, inputs, [output],
             json.dumps(summary))
 
 

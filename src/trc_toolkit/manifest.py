@@ -23,6 +23,15 @@ from .errors import MalformedRecord
 # JSONL row (outputs and the response cache) goes through this one instead.
 encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+# Built once, like `encode_json`. NaN, Infinity and -Infinity, which `json.loads`
+# takes, are not JSON (RFC 8259); every read refuses them.
+decode_json = json.JSONDecoder(parse_constant=_reject_constant).decode
+
 _JSON_TYPES = {str: "string", int: "number", float: "number", bool: "boolean",
                type(None): "null", list: "array", dict: "object"}
 
@@ -82,16 +91,20 @@ def read_jsonl(path: str | Path, cls: type[JsonRecord] | None = None, *,
     With `skip_undecodable`, a line that is not UTF-8 JSON is passed over instead."""
     with Path(path).open("rb") as fh:
         for number, line in enumerate(fh, 1):
-            try:   # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            try:   # not UTF-8, not JSON or a NaN/Infinity: each is a ValueError
                 line = line.decode("utf-8")
                 if not line.strip():
                     continue
-                row = json.loads(line)
-                row = row if cls is None else cls.from_dict(row)
-            except (ValueError, MalformedRecord) as exc:
-                if skip_undecodable and isinstance(exc, (UnicodeDecodeError, json.JSONDecodeError)):
+                row = decode_json(line)
+            except ValueError as exc:
+                if skip_undecodable:
                     continue
                 raise MalformedRecord(f"{path}:{number}: {exc}") from exc
+            if cls is not None:
+                try:
+                    row = cls.from_dict(row)
+                except (ValueError, MalformedRecord) as exc:
+                    raise MalformedRecord(f"{path}:{number}: {exc}") from exc
             yield row
 
 
@@ -108,7 +121,7 @@ def read_json(path: str | Path, cls: type[JsonRecord]):
     """The record of a file holding one JSON document; an error names the file."""
     text = read_text(path)
     try:
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(decode_json(text))
     except (ValueError, MalformedRecord) as exc:
         raise MalformedRecord(f"{path}: {exc}") from exc
 

@@ -73,22 +73,17 @@ def _mean_pct(scores: Sequence[float]) -> float:
     return _pct(100 * sum(scores) / len(scores))
 
 
-def _score_pair(pair: ResponsePair, gold: str, strict: bool) -> tuple:
+def _score_pair(pair: ResponsePair, gold: str) -> tuple:
     """The per-pair rule every aggregate is built from.
 
     Returns (em_a, em_c, f1_a, f1_c, identical, identical_and_correct), each
-    answer normalised once. `strict` compares raw strings for the last two.
+    answer normalised once.
     """
     a = normalize_answer(pair.answer_absolute)
     c = normalize_answer(pair.answer_chronological)
     g = normalize_answer(gold)
-    if strict:
-        identical = pair.answer_absolute == pair.answer_chronological
-        correct = identical and pair.answer_absolute == gold
-    else:
-        identical = a == c
-        correct = identical and a == g
-    return int(a == g), int(c == g), _f1(a, g), _f1(c, g), identical, correct
+    identical = a == c
+    return int(a == g), int(c == g), _f1(a, g), _f1(c, g), identical, identical and a == g
 
 
 def score_deviation(absolute_scores: Sequence[float],
@@ -111,27 +106,18 @@ def _require_golds(pairs: Sequence[ResponsePair], golds: Mapping[str, str]):
             raise MissingGold(f"no gold answer for {pair.instance_id!r}")
 
 
-def factual_deviation(pairs: Sequence[ResponsePair], golds: Mapping[str, str],
-                      scorer: str = "em") -> float:
-    _require_golds(pairs, golds)
-    arm = {"em": 0, "f1": 2}[scorer]
-    rows = [_score_pair(p, golds[p.instance_id], False) for p in pairs]
-    return score_deviation([r[arm] for r in rows], [r[arm + 1] for r in rows])
-
-
-def referential_consistency(pairs: Sequence[ResponsePair], strict: bool = False) -> float:
+def referential_consistency(pairs: Sequence[ResponsePair]) -> float:
     """Percentage of pairs answered identically across the two references."""
     if not pairs:
         raise EmptyInput("no response pairs")
     # whether the arms are identical does not depend on the gold
-    return _mean_pct([_score_pair(p, "", strict)[4] for p in pairs])
+    return _mean_pct([_score_pair(p, "")[4] for p in pairs])
 
 
-def consistent_factuality(pairs: Sequence[ResponsePair], golds: Mapping[str, str],
-                          strict: bool = False) -> float:
+def consistent_factuality(pairs: Sequence[ResponsePair], golds: Mapping[str, str]) -> float:
     """Percentage of pairs answered identically and correctly."""
     _require_golds(pairs, golds)
-    return _mean_pct([_score_pair(p, golds[p.instance_id], strict)[5] for p in pairs])
+    return _mean_pct([_score_pair(p, golds[p.instance_id])[5] for p in pairs])
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -175,8 +161,7 @@ class EvalReport(JsonRecord):
                                           "expected [number, number, integer]")
 
 
-def evaluate(dataset: Sequence[BenchmarkInstance], pairs: Sequence[ResponsePair],
-             strict: bool = False) -> EvalReport:
+def evaluate(dataset: Sequence[BenchmarkInstance], pairs: Sequence[ResponsePair]) -> EvalReport:
     """Aggregate every metric plus per-entity-type and per-language breakdowns.
 
     A dataset that repeats an instance id is rejected: which of the two
@@ -197,7 +182,7 @@ def evaluate(dataset: Sequence[BenchmarkInstance], pairs: Sequence[ResponsePair]
         if pair.instance_id in paired:
             raise DuplicateResponse(f"second response pair for instance {pair.instance_id!r}")
         paired.add(pair.instance_id)
-    rows = [_score_pair(p, by_id[p.instance_id].answer, strict) for p in pairs]
+    rows = [_score_pair(p, by_id[p.instance_id].answer) for p in pairs]
     em_a, em_c, f1_a, f1_c, identical, correct = zip(*rows)
 
     def breakdown(attr: str):

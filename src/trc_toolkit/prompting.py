@@ -30,7 +30,8 @@ REASONING = "Reasoning: "  # the label of a semantic-cot demo's reasoning; no ot
 # time-oriented one.
 PATHWAY_FOR_REFERENCE = {"absolute": "event", "chronological": "time"}
 
-DEFAULT_INSTRUCTION = (
+# The one instruction every SFT record carries (UnTRaP trains from it).
+INSTRUCTION = (
     "Answer the temporal question. Reason about which fact holds immediately "
     "before or after the given reference, then state only the answer entity."
 )
@@ -283,7 +284,7 @@ def render_prompt(query: str, demos: list[BenchmarkInstance],
 
 
 def render_sft_record(instance: BenchmarkInstance, reference_kind: str,
-                      pairing: str, instruction: str = DEFAULT_INSTRUCTION) -> SftRecord:
+                      pairing: str) -> SftRecord:
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
     if reference_kind not in REFERENCE_KINDS:
@@ -292,19 +293,18 @@ def render_sft_record(instance: BenchmarkInstance, reference_kind: str,
         raise PairingViolation("unilateral export only covers absolute queries")
     pathway = instance.pathway(PATHWAY_FOR_REFERENCE[reference_kind])
     return SftRecord(
-        instruction=instruction,
+        instruction=INSTRUCTION,
         input=instance.query(reference_kind),
         output=f"{pathway}\n{instance.answer.lower()}",
         pairing=pairing,
     )
 
 
-def export_sft(instances: list[BenchmarkInstance], pairing: str,
-               instruction: str = DEFAULT_INSTRUCTION) -> list[SftRecord]:
+def export_sft(instances: list[BenchmarkInstance], pairing: str) -> list[SftRecord]:
     """Cross pairing emits two records per instance, unilateral one."""
     records = []
     for inst in instances:
-        records.append(render_sft_record(inst, "absolute", pairing, instruction))
+        records.append(render_sft_record(inst, "absolute", pairing))
         if pairing == "cross":
-            records.append(render_sft_record(inst, "chronological", pairing, instruction))
+            records.append(render_sft_record(inst, "chronological", pairing))
     return records

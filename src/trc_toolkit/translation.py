@@ -18,8 +18,8 @@ def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-def _ngram_orders(seq: str | tuple[str, ...], max_order: int) -> list[list]:
-    """The n-grams of each order 1..max_order of a string (substrings) or of
+def _ngram_orders(seq: str | tuple[str, ...], top_order: int) -> list[list]:
+    """The n-grams of each order 1..top_order of a string (substrings) or of
     a token tuple (tuples), in position order.
 
     Order n+1 is order n with the next unigram appended, one C-level
@@ -27,13 +27,15 @@ def _ngram_orders(seq: str | tuple[str, ...], max_order: int) -> list[list]:
     """
     first = list(seq) if isinstance(seq, str) else list(zip(seq))
     orders = [first]
-    for n in range(1, max_order):
+    for n in range(1, top_order):
         orders.append(list(map(add, orders[-1], first[n:])))
     return orders
 
 
-# chrF++ (Popović, WMT 2017): character orders 1-6, word orders 1-2, beta 2.
+# chrF++ (Popović, WMT 2017): character orders 1-6, word orders 1-2, beta 2;
+# BLEU over orders 1-3.
 _CHAR_ORDERS, _WORD_ORDERS, _BETA = 6, 2, 2.0
+_BLEU_ORDERS = 3
 
 
 def clipped_count(hyp: list, ref: list) -> int:
@@ -77,9 +79,9 @@ def chrf_pp(hypothesis: str, reference: str) -> float:
     sides = [(hypothesis.replace(" ", ""), reference.replace(" ", ""), _CHAR_ORDERS),
              (tuple(hypothesis.split()), tuple(reference.split()), _WORD_ORDERS)]
     scores = []
-    for hyp, ref, max_order in sides:
-        for hyp_grams, ref_grams in zip(_ngram_orders(hyp, max_order),
-                                        _ngram_orders(ref, max_order)):
+    for hyp, ref, top_order in sides:
+        for hyp_grams, ref_grams in zip(_ngram_orders(hyp, top_order),
+                                        _ngram_orders(ref, top_order)):
             if not hyp_grams and not ref_grams:
                 continue  # order longer than both strings
             if not hyp_grams or not ref_grams:
@@ -90,14 +92,13 @@ def chrf_pp(hypothesis: str, reference: str) -> float:
     return 100 * sum(scores) / len(scores)
 
 
-def bleu_n(hypothesis: str, reference: str, max_order: int = 3) -> float:
-    """Modified n-gram precision geometric mean with brevity penalty, in [0, 1].
+def bleu_n(hypothesis: str, reference: str) -> float:
+    """BLEU-3: the modified n-gram precisions' geometric mean over orders 1-3,
+    with brevity penalty, in [0, 1].
 
     Orders >= 2 take add-one smoothing (Chen & Cherry, WMT 2014), so a short
     string gets no hard zero; a hypothesis sharing no unigram scores 0.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
     hyp_tokens = tuple(hypothesis.split())
     ref_tokens = tuple(reference.split())
     if not hyp_tokens or not ref_tokens:
@@ -105,7 +106,7 @@ def bleu_n(hypothesis: str, reference: str, max_order: int = 3) -> float:
 
     log_sum = 0.0
     used = 0
-    orders = zip(_ngram_orders(hyp_tokens, max_order), _ngram_orders(ref_tokens, max_order))
+    orders = zip(_ngram_orders(hyp_tokens, _BLEU_ORDERS), _ngram_orders(ref_tokens, _BLEU_ORDERS))
     for order, (hyp_grams, ref_grams) in enumerate(orders, 1):
         total = len(hyp_grams)
         if total == 0:

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import trc_toolkit
+from trc_toolkit import cli
 from trc_toolkit.manifest import read_jsonl, write_jsonl
 
 from synthkb import make_records, make_timelines
@@ -105,12 +108,11 @@ class TestPrompt:
         result = trc("prompt", "--dataset", workspace / "data.jsonl",
                      "--style", "semantic-cot", "--shots", 2,
                      "--reference", "chronological", "--seed", 1,
-                     "--output", workspace / "prompts.jsonl",
-                     "--preview", workspace / "preview.txt")
+                     "--output", workspace / "prompts.jsonl")
         assert result.returncode == 0, result.stderr
         rows = list(read_jsonl(workspace / "prompts.jsonl"))
         assert rows and all("because" in r["prompt"] for r in rows)
-        assert (workspace / "preview.txt").read_text().startswith("Question:")
+        assert rows[0]["prompt"].startswith("Question:")
 
     @pytest.mark.parametrize("style", ["icl", "semantic-icl"])
     def test_pool_too_small_exits_1(self, workspace, style):
@@ -129,15 +131,6 @@ class TestPrompt:
         row = next(read_jsonl(workspace / "prompts_zero.jsonl"))
         assert row["prompt"].count("Question:") == 1
 
-    def test_preview_into_missing_directory(self, workspace):
-        preview = workspace / "missing" / "dir" / "p.txt"
-        result = trc("prompt", "--dataset", workspace / "data.jsonl", "--style", "zero",
-                     "--shots", 0, "--output", workspace / "prompts_preview.jsonl",
-                     "--preview", preview)
-        assert result.returncode == 0, result.stderr
-        first = next(read_jsonl(workspace / "prompts_preview.jsonl"))
-        assert preview.read_text(encoding="utf-8") == first["prompt"] + "\n"
-        assert (workspace / "prompts_preview.jsonl.manifest.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +165,15 @@ class TestEvaluateAndReport:
         assert "correlations" in doc
         text = (scored / "final.txt").read_text()
         assert "Temp-Ref-Cons" in text and "Temp-Ref-Cons-Fact" in text
+
+    def test_report_into_missing_directory(self, scored):
+        stem = scored / "missing" / "dir" / "final"
+        result = trc("report", "--report", scored / "eval.json",
+                     "--dataset", scored / "data.jsonl", "--output", stem)
+        assert result.returncode == 0, result.stderr
+        assert Path(f"{stem}.txt").read_text(encoding="utf-8") + "\n" == result.stdout
+        assert "correlations" in json.loads(Path(f"{stem}.json").read_text())
+        assert Path(f"{stem}.json.manifest.json").exists()
 
     def test_report_with_comparison(self, scored):
         result = trc("report", "--report", scored / "eval.json",
@@ -443,6 +445,18 @@ class TestMtAgree:
         summary = json.loads((workspace / "mt_tsr.json").read_text())
         assert summary["tsr"] == 100.0
 
+    def test_profile_without_expected_lang_exits_1(self, tmp_path):
+        # the profiles serve only TSR; none is read, not even the missing one
+        (tmp_path / "en.txt").write_text("the committee approved the report\n")
+        result = trc("mt-agree", "--hypothesis", tmp_path / "en.txt",
+                     "--reference", tmp_path / "en.txt",
+                     "--profile", f"en={tmp_path / 'en.txt'}",
+                     "--profile", f"fr={tmp_path / 'missing.txt'}",
+                     "--output", tmp_path / "mt.json")
+        assert result.returncode == 1
+        assert result.stderr == "error: --profile needs --expected-lang\n"
+        assert not (tmp_path / "mt.json").exists()
+
     def test_length_mismatch_exits_1(self, workspace):
         (workspace / "short.txt").write_text("one line\n")
         result = trc("mt-agree", "--hypothesis", workspace / "hyp.txt",
@@ -545,6 +559,36 @@ class TestRowChecks:
         assert result.stderr.startswith(f"error: {source}:2: ")
         assert len(result.stderr.splitlines()) == 1
 
+    def test_non_json_constant_in_a_row_is_named(self, workspace):
+        rows = list(read_jsonl(workspace / "source.jsonl"))[:3]
+        rows[1]["id"] = math.nan
+        source = workspace / "source_nan.jsonl"
+        source.write_text("".join(json.dumps(row) + "\n" for row in rows))  # NaN, not JSON
+        result = trc("build", source, "--output", workspace / "data_nan.jsonl")
+        assert result.returncode == 1
+        assert result.stderr == f"error: {source}:2: NaN is not a JSON value\n"
+        assert not (workspace / "data_nan.jsonl").exists()
+
+    @pytest.mark.parametrize("changes, constant", [
+        ({"trc": math.nan, "per_entity": [math.inf, 50.0, 30]}, "NaN"),
+        ({"per_entity": [math.inf, 50.0, 30]}, "Infinity"),
+        ({"em_ctr": -math.inf}, "-Infinity"),
+    ], ids=["nan-and-inf", "inf", "minus-inf"])
+    def test_non_json_constant_in_report_is_named(self, scored, changes, constant):
+        report = json.loads((scored / "eval.json").read_text())
+        for field, value in changes.items():
+            if field == "per_entity":
+                report[field][next(iter(report[field]))] = value
+            else:
+                report[field] = value
+        path = scored / "eval_constant.json"
+        path.write_text(json.dumps(report))
+        result = trc("report", "--report", path, "--dataset", scored / "data.jsonl",
+                     "--output", scored / "constant")
+        assert result.returncode == 1
+        assert result.stderr == f"error: {path}: {constant} is not a JSON value\n"
+        assert not (scored / "constant.json").exists()
+
     def test_invalid_utf8_line_is_named(self, workspace):
         source = workspace / "source_latin1.jsonl"
         source.write_bytes('{"id": "café"}\n'.encode("latin-1"))
@@ -612,11 +656,11 @@ GOLDEN_DIGESTS = {
     "eval.json":
         "228c470fc7252def122bd663ecd23b24190fb21fb2f2bead148375a06e4a43c3",
     "eval.json.manifest.json":
-        "1b926099e9ace04116aa5ade1e3e4d4512754d861f71b10bcfbc786a681a55df",
-    "eval_strict.json":
-        "1911cd692361835dd2e93d94ca4712b223cc0a0db6ed3669cc8c76d021e5bc89",
-    "eval_strict.json.manifest.json":
-        "b7455e46c5406d8c7be9aae11f4270b7c271e2b9e8a7f70b68b7e06802413319",
+        "6af24d6c855049bebe97680b7ecb2188544ef8ca5e7fc991a36d3a39c35ffa3f",
+    "eval_reversed.json":
+        "ffc7b88690aceba5715f24a5da6d9fa90dec9a0db0737fa65b04fe6f3e729093",
+    "eval_reversed.json.manifest.json":
+        "cc893880328783dcb6c3ecdc2f4e24f7f6bdff8fb1fef4f7e5e9a3c8708a4047",
     "final.json":
         "104a05745bbeb4a6256b5765a1ba041068c361ffa9665a7e8073912273ac5059",
     "final.json.manifest.json":
@@ -624,27 +668,23 @@ GOLDEN_DIGESTS = {
     "final.txt":
         "10d67433102903c6ac55a26eee5af79f12c7bf68ea2d574a4207325793e484e2",
     "final_cmp.json":
-        "00df7a227e0cb1170ee085b8242fb31c9cd489a9c415d66d2094adee3d4c408e",
+        "29561860c81b7ea920205072e0a6ed7262edeebd0a0c7863085c012f4e69171e",
     "final_cmp.json.manifest.json":
-        "c319af6afd3bcb3e48259341d1e71b94b1dbb18235f50f10edc51a0d5b2b9ecb",
+        "6151dc9ad3a68ce4d1731a4b4fc80f0eb6e4518c1bdc481940088381d71e4bc3",
     "final_cmp.txt":
-        "ee0fde09ac4a7a450e22e68417601adbb77b74dd7c2fff85570167e49b521c60",
+        "734fd683618e201c6f096989031f38ec17c3bd23909f2a7578734e71aa70105d",
     "icl-absolute.jsonl":
         "0303fcddeaecf18ac27698c3db7cc0f52e1f9f8e0d409cc81540b164001885f1",
     "icl-absolute.jsonl.manifest.json":
         "5426db3637eeca5b620a4ed33b430fb28bbfd2676ea7a51823f2c661eea5d6b3",
-    "icl-absolute.txt":
-        "9b135e8815b5ca2c5a6e152ffd22014639c3cbeff2730161533ea713bc8eda5f",
     "icl-chronological.jsonl":
         "1123e74ad176d74e08e5927a8d2468fd0964d8e246c056f82de23dfe800bfcf8",
     "icl-chronological.jsonl.manifest.json":
         "11c0818c02d56bd340fa19aa9c207b2ff4ec645710a306c6dccf55877b0a7f44",
-    "icl-chronological.txt":
-        "96b86698d077954f95ab03e775ce7f9a73122e4979c83f7bf6a12e9912cf5209",
     "mt.json":
         "64ec7af9334ecfc7fd90130e859f6ba8b6ee2e689900f2ec4ae4dc6f0ce7911b",
     "mt.json.manifest.json":
-        "dab3173a7e3d23e73847d596d4b804dbb760846a1342afc557762e3f47d69467",
+        "47c4fb5fc9668682e1e8d118498704cdcbd806eec55302dba2c6e8e81b00faea",
     "pool-icl.jsonl":
         "10cb9a6f0fc82954ec21c98591cb9e28be99c4f5303ab23c054131b6d825f916",
     "pool-icl.jsonl.manifest.json":
@@ -661,18 +701,14 @@ GOLDEN_DIGESTS = {
         "c19f0fcb921abf0b6d18e88b9ca0ba8fd85fc3eb7538e4f9c995d21fd6291e5e",
     "semantic-cot-absolute.jsonl.manifest.json":
         "526ac5b0a5ccae0567756779949ee00add9fc6fcf74ec47ead8da06dd50acb99",
-    "semantic-cot-absolute.txt":
-        "3e8950c1b876e1ff40ac08604cefef28fbf1e2b987a2cc29fde606a3d0912cdd",
     "semantic-cot-chronological.jsonl":
         "4d94c2ab0bcd1089ef75146ee7593d2b76d90efea29a3ccd446183f566045eb5",
     "semantic-cot-chronological.jsonl.manifest.json":
         "7bd87deb02cb22f83ef5ba34dcd013cf4d1372cd29a0aa154a361a79abbd6421",
-    "semantic-cot-chronological.txt":
-        "2275e8baa21c03309c9ff92fc4c4d513af921f1bee24dc11867ec86eafc36ea6",
     "sft.jsonl":
         "a65953287e615de0715d797ce0e28797b5a34869e09707a5e834159acd0aa5ae",
     "sft.jsonl.manifest.json":
-        "486382d7b53363370d4505068b3ef6e8e9905ed2639590e0ff3f0c6454825f7c",
+        "eb1745edc373e8b89a8753bfe109ffe4fe441977961db72e64163ea93e64b347",
     "sub.jsonl":
         "da2937457c9663b685d237ba51e8c16452acf8031180b95708a24ac169458d78",
     "sub.jsonl.manifest.json":
@@ -710,8 +746,7 @@ def test_golden_digests(tmp_path):
         for reference in ("absolute", "chronological"):
             run("prompt", "--dataset", data, "--style", style, "--shots", 2,
                 "--reference", reference, "--seed", 1,
-                "--output", tmp_path / f"{style}-{reference}.jsonl",
-                "--preview", tmp_path / f"{style}-{reference}.txt")
+                "--output", tmp_path / f"{style}-{reference}.jsonl")
     # A separate pool: the dataset, a `fr` copy of some instances (same ids)
     # and one duplicated row; the targets mix both languages.
     rows = list(read_jsonl(data))
@@ -723,21 +758,24 @@ def test_golden_digests(tmp_path):
             "--style", style, "--shots", 3, "--reference", "absolute", "--seed", 4,
             "--output", tmp_path / f"pool-{style}.jsonl")
     responses = tmp_path / "responses.jsonl"
-    write_jsonl(responses, _golden_responses(list(read_jsonl(data))))
+    write_jsonl(responses, _golden_responses(rows))
+    # the --compare baseline: other answers, dealt out over the rows in reverse
+    reversed_responses = tmp_path / "responses_reversed.jsonl"
+    write_jsonl(reversed_responses, _golden_responses(rows[::-1]))
     run("evaluate", "--dataset", data, "--responses", responses,
         "--output", tmp_path / "eval.json")
-    run("evaluate", "--dataset", data, "--responses", responses,
-        "--output", tmp_path / "eval_strict.json", "--strict")
+    run("evaluate", "--dataset", data, "--responses", reversed_responses,
+        "--output", tmp_path / "eval_reversed.json")
     run("report", "--report", tmp_path / "eval.json", "--dataset", data,
         "--output", tmp_path / "final")
     run("report", "--report", tmp_path / "eval.json", "--dataset", data,
-        "--compare", tmp_path / "eval_strict.json", "--output", tmp_path / "final_cmp")
+        "--compare", tmp_path / "eval_reversed.json", "--output", tmp_path / "final_cmp")
     run("mt-agree", "--hypothesis", tmp_path / "hyp.txt", "--reference", tmp_path / "ref.txt",
         "--expected-lang", "en", "--profile", f"en={tmp_path / 'en.txt'}",
         "--profile", f"fr={tmp_path / 'fr.txt'}", "--output", tmp_path / "mt.json")
 
-    inputs = {"source.jsonl", "responses.jsonl", "hyp.txt", "ref.txt", "en.txt", "fr.txt",
-              "pool.jsonl", "mixed.jsonl"}
+    inputs = {"source.jsonl", "responses.jsonl", "responses_reversed.jsonl", "hyp.txt",
+              "ref.txt", "en.txt", "fr.txt", "pool.jsonl", "mixed.jsonl"}
     observed = {}
     for path in sorted(tmp_path.iterdir()):
         if path.name in inputs:
@@ -747,3 +785,24 @@ def test_golden_digests(tmp_path):
         else:
             observed[path.name] = digest(path)
     assert observed == GOLDEN_DIGESTS
+
+
+def _declared_options() -> set[tuple[str, str]]:
+    """(command, --option) for every option each `trc` command declares."""
+    return {(name, opt) for name, command in cli.main.commands.items()
+            for param in command.params for opt in param.opts if opt.startswith("--")}
+
+
+@pytest.mark.parametrize("command, option", [
+    ("evaluate", "--strict"), ("export-sft", "--instruction"),
+    ("mt-agree", "--max-order"), ("prompt", "--preview")])
+def test_deleted_setting_is_not_declared(command, option):
+    assert command in cli.main.commands
+    assert (command, option) not in _declared_options()
+
+
+def test_every_option_is_documented_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    undocumented = sorted((name, opt) for name, opt in _declared_options()
+                          if not re.search(re.escape(opt) + r"(?![\w-])", readme))
+    assert not undocumented

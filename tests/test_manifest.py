@@ -13,7 +13,7 @@ import trc_toolkit
 from trc_toolkit import cli
 from trc_toolkit.client import CacheEntry, CompletionRecord
 from trc_toolkit.errors import MalformedRecord
-from trc_toolkit.manifest import JsonRecord, _fields, encode_json, read_jsonl
+from trc_toolkit.manifest import JsonRecord, _fields, encode_json, read_json, read_jsonl
 from trc_toolkit.metrics import EvalReport
 from trc_toolkit.prompting import PromptRow, SftRecord
 from trc_toolkit.querygen import BenchmarkInstance, ConsistencyPair, SourceRecord
@@ -88,6 +88,20 @@ def test_non_utf8_line_is_malformed_or_skipped(tmp_path):
     with pytest.raises(MalformedRecord, match=message):
         list(read_jsonl(path))
     assert list(read_jsonl(path, skip_undecodable=True)) == [{"a": 1}, {"a": 3}]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constant_is_malformed_or_skipped(tmp_path, constant):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(f'{{"a": 1}}\n{{"a": [2, {constant}]}}\n{{"a": 3}}\n')
+    with pytest.raises(MalformedRecord, match=f"^{re.escape(str(path))}:2: "
+                                              f"{re.escape(constant)} is not a JSON value$"):
+        list(read_jsonl(path))
+    assert list(read_jsonl(path, skip_undecodable=True)) == [{"a": 1}, {"a": 3}]
+    doc = tmp_path / "doc.json"
+    doc.write_text(f'{{"prompt_hash": "k", "raw_completion": "x", "latency": {constant}}}')
+    with pytest.raises(MalformedRecord, match=f"^{re.escape(str(doc))}: "):
+        read_json(doc, CacheEntry)
 
 
 def test_lf_and_crlf_lines_read_alike(tmp_path):

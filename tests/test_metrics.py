@@ -18,7 +18,6 @@ from trc_toolkit.metrics import (
     consistent_factuality,
     evaluate,
     exact_match,
-    factual_deviation,
     normalize_answer,
     pearson,
     referential_consistency,
@@ -101,19 +100,17 @@ class TestFactualDeviation:
         dev = score_deviation([0.1340] * 500, [0.1882] * 500)
         assert dev == pytest.approx(-5.42, abs=0.005)
 
-    def test_identical_arms_zero(self):
-        pairs = [ResponsePair(f"i{k}", "x", "x") for k in range(5)]
-        golds = {f"i{k}": "x" for k in range(5)}
-        assert factual_deviation(pairs, golds, "em") == 0.0
-        assert factual_deviation(pairs, golds, "f1") == 0.0
-
-    def test_missing_gold(self):
-        with pytest.raises(MissingGold):
-            factual_deviation([ResponsePair("i0", "a", "b")], {}, "em")
+    def test_identical_arms_zero(self, synthetic_dataset):
+        pairs = [ResponsePair(inst.id, answer, answer) for inst, answer in
+                 zip(synthetic_dataset[:5], ["x", "nobody", synthetic_dataset[2].answer, "", "x"])]
+        report = evaluate(synthetic_dataset, pairs)
+        assert report.dev_em == report.dev_f1 == 0.0
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            factual_deviation([], {}, "em")
+            score_deviation([], [1.0])
+        with pytest.raises(EmptyInput):
+            score_deviation([1.0], [])
 
 
 class TestReferentialConsistency:
@@ -137,10 +134,9 @@ class TestReferentialConsistency:
             p.answer_absolute == p.answer_chronological for p in pairs) / len(pairs)
         assert referential_consistency(pairs) == expected == 50.0
 
-    def test_strict_mode_compares_raw(self):
-        pairs = [ResponsePair("i0", "Same", "same")]
+    def test_compares_normalised_answers(self):
+        pairs = [ResponsePair("i0", "Same", "same"), ResponsePair("i1", "The same.", "same")]
         assert referential_consistency(pairs) == 100.0
-        assert referential_consistency(pairs, strict=True) == 0.0
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
@@ -166,6 +162,10 @@ class TestConsistentFactuality:
                               "member of the 23rd parliament of the united kingdom",
                               "member of the 22nd parliament of the united kingdom")]
         assert consistent_factuality(pairs, self.GOLD) == 0.0
+
+    def test_missing_gold(self):
+        with pytest.raises(MissingGold):
+            consistent_factuality([ResponsePair("i0", "a", "b")], {})
 
 
 class TestPearson:
@@ -288,6 +288,12 @@ _ANSWER_FORMS = {
 }
 
 
+def _deviation(scorer, pairs, golds):
+    """ATR - CTR of one scorer over the two arms, from the standalone functions."""
+    return score_deviation([scorer(p.answer_absolute, golds[p.instance_id]) for p in pairs],
+                           [scorer(p.answer_chronological, golds[p.instance_id]) for p in pairs])
+
+
 class TestSingleScoringRule:
     """evaluate() and the standalone metrics are one rule, so they agree exactly."""
 
@@ -301,24 +307,23 @@ class TestSingleScoringRule:
         golds = {inst.id: inst.answer for inst in dataset}
         report = evaluate(dataset, pairs)
         assert (report.em_atr, report.em_ctr) == (33.33, 16.67)
-        assert factual_deviation(pairs, golds, "em") == report.dev_em == 16.66
-        assert factual_deviation(pairs, golds, "f1") == report.dev_f1 == 16.66
+        assert _deviation(exact_match, pairs, golds) == report.dev_em == 16.66
+        assert _deviation(token_f1, pairs, golds) == report.dev_f1 == 16.66
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 59), st.sampled_from(sorted(_ANSWER_FORMS)),
                               st.sampled_from(sorted(_ANSWER_FORMS))),
-                    min_size=1, max_size=24, unique_by=lambda row: row[0]),
-           st.booleans())
-    def test_evaluate_matches_standalone_metrics(self, synthetic_dataset, rows, strict):
+                    min_size=1, max_size=24, unique_by=lambda row: row[0]))
+    def test_evaluate_matches_standalone_metrics(self, synthetic_dataset, rows):
         dataset = synthetic_dataset[::3][:60]
         pairs = [ResponsePair(dataset[i].id, _ANSWER_FORMS[a](dataset[i].answer),
                               _ANSWER_FORMS[c](dataset[i].answer)) for i, a, c in rows]
         golds = {inst.id: inst.answer for inst in dataset}
-        report = evaluate(dataset, pairs, strict=strict)
-        assert report.trc == referential_consistency(pairs, strict)
-        assert report.trcf == consistent_factuality(pairs, golds, strict)
-        assert report.dev_em == factual_deviation(pairs, golds, "em")
-        assert report.dev_f1 == factual_deviation(pairs, golds, "f1")
+        report = evaluate(dataset, pairs)
+        assert report.trc == referential_consistency(pairs)
+        assert report.trcf == consistent_factuality(pairs, golds)
+        assert report.dev_em == _deviation(exact_match, pairs, golds)
+        assert report.dev_f1 == _deviation(token_f1, pairs, golds)
         by_id = {inst.id: inst for inst in dataset}
         for attr, rows_by_group in (("entity_type", report.per_entity),
                                     ("language", report.per_language)):
@@ -326,6 +331,6 @@ class TestSingleScoringRule:
             for pair in pairs:
                 groups.setdefault(getattr(by_id[pair.instance_id], attr), []).append(pair)
             assert rows_by_group == {
-                name: (referential_consistency(group, strict),
-                       consistent_factuality(group, golds, strict), len(group))
+                name: (referential_consistency(group),
+                       consistent_factuality(group, golds), len(group))
                 for name, group in groups.items()}
