@@ -23,13 +23,6 @@ from .report import build_report, format_text_report
 
 _ENDPOINT = client_mod.EndpointConfig  # its field defaults are `collect`'s
 
-STYLE_BY_FLAG = {
-    "zero": "zero_shot",
-    "icl": "icl",
-    "semantic-icl": "semantic_icl",
-    "semantic-cot": "semantic_cot",
-}
-
 
 def _finish(config: dict, inputs: list, outputs: list, message: str, seed: int = 0):
     """Write the running command's manifest beside its first output, then echo."""
@@ -97,16 +90,16 @@ def export_sft(dataset, pairing, output):
               help="Instances to build prompts for.")
 @click.option("--pool", type=click.Path(exists=True), default=None,
               help="Demonstration pool; defaults to the dataset itself.")
-@click.option("--style", "style_flag", type=click.Choice(sorted(STYLE_BY_FLAG)),
+@click.option("--style", type=click.Choice(prompting.STYLE_KINDS),
               default="icl", show_default=True)
 @click.option("--shots", default=prompting.PromptStyle.shots, show_default=True, type=int)
 @click.option("--reference", type=click.Choice(prompting.REFERENCE_KINDS),
               default="chronological", show_default=True)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--output", required=True, type=click.Path())
-def prompt(dataset, pool, style_flag, shots, reference, seed, output):
+def prompt(dataset, pool, style, shots, reference, seed, output):
     """Render evaluation prompts for every instance in the dataset."""
-    style = prompting.PromptStyle(STYLE_BY_FLAG[style_flag], shots)
+    style = prompting.PromptStyle(style, shots)
     targets = list(read_jsonl(dataset, BenchmarkInstance))
     by_language: dict[str, list[BenchmarkInstance]] = {}
     for inst in read_jsonl(pool, BenchmarkInstance) if pool else targets:

@@ -68,7 +68,7 @@ class EndpointConfig:
             raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class CompletionRecord(JsonRecord):
     instance_id: str
     reference_kind: str

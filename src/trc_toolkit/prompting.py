@@ -20,15 +20,10 @@ from .errors import PairingViolation, PoolTooSmall
 from .manifest import JsonRecord
 from .querygen import BenchmarkInstance
 
-STYLE_KINDS = ("zero_shot", "icl", "semantic_icl", "semantic_cot")
+STYLE_KINDS = ("zero", "icl", "semantic-icl", "semantic-cot")  # the `--style` words
 REFERENCE_KINDS = ("absolute", "chronological")
 PAIRINGS = ("cross", "unilateral_absolute")
 REASONING = "Reasoning: "  # the label of a semantic-cot demo's reasoning; no other style has it
-
-# Under cross pairing each reference kind is matched with its aligned rationale:
-# absolute queries with the event-oriented pathway, chronological with the
-# time-oriented one.
-PATHWAY_FOR_REFERENCE = {"absolute": "event", "chronological": "time"}
 
 # The one instruction every SFT record carries (UnTRaP trains from it).
 INSTRUCTION = (
@@ -47,11 +42,11 @@ class PromptStyle:
             raise ValueError(f"unknown prompt style {self.kind!r}")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
-        if self.kind == "zero_shot":
+        if self.kind == "zero":
             object.__setattr__(self, "shots", 0)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SftRecord(JsonRecord):
     instruction: str
     input: str
@@ -275,8 +270,8 @@ def render_prompt(query: str, demos: list[BenchmarkInstance],
     blocks = []
     for demo in demos:
         lines = [f"Question: {demo.query(reference_kind)}"]
-        if style.kind == "semantic_cot":
-            lines.append(f"{REASONING}{demo.pathway(PATHWAY_FOR_REFERENCE[reference_kind])}")
+        if style.kind == "semantic-cot":
+            lines.append(f"{REASONING}{demo.pathway(reference_kind)}")
         lines.append(f"Answer: {demo.answer}")
         blocks.append("\n".join(lines))
     blocks.append(f"Question: {query}\nAnswer:")
@@ -291,7 +286,7 @@ def render_sft_record(instance: BenchmarkInstance, reference_kind: str,
         raise ValueError(f"unknown reference kind {reference_kind!r}")
     if pairing == "unilateral_absolute" and reference_kind != "absolute":
         raise PairingViolation("unilateral export only covers absolute queries")
-    pathway = instance.pathway(PATHWAY_FOR_REFERENCE[reference_kind])
+    pathway = instance.pathway(reference_kind)
     return SftRecord(
         instruction=INSTRUCTION,
         input=instance.query(reference_kind),

@@ -28,7 +28,7 @@ from .manifest import JsonRecord
 from .relations import normalize_relation, relation_spec
 
 
-@dataclass(frozen=True)
+@dataclass
 class BenchmarkInstance(JsonRecord):
     id: str
     language: str
@@ -49,15 +49,17 @@ class BenchmarkInstance(JsonRecord):
             return self.query_chronological
         raise ValueError(f"unknown reference kind {reference_kind!r}")
 
-    def pathway(self, kind: str) -> str:
-        if kind == "time":
-            return self.pathway_time_oriented
-        if kind == "event":
+    def pathway(self, reference_kind: str) -> str:
+        """The rationale aligned with a reference: an absolute query's names the
+        anchor event, a chronological query's the boundary time."""
+        if reference_kind == "absolute":
             return self.pathway_event_oriented
-        raise ValueError(f"unknown pathway kind {kind!r}")
+        if reference_kind == "chronological":
+            return self.pathway_time_oriented
+        raise ValueError(f"unknown reference kind {reference_kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConsistencyPair(JsonRecord):
     query_a: str
     query_b: str
@@ -85,11 +87,6 @@ def _reference_after(query: str, end: int) -> str:
     if not reference:
         raise SlotUnresolved(f"empty reference span in {query!r}")
     return reference
-
-
-def reference_span(query: str) -> str:
-    """The span after a query's direction keyword, without the trailing '?'."""
-    return _reference_after(query, _direction_match(query).end())
 
 
 @dataclass
@@ -240,6 +237,8 @@ def build_consistency_pairs(instances: list[BenchmarkInstance], n: int,
 
 def subsample(instances: list[BenchmarkInstance], n: int, seed: int) -> list[BenchmarkInstance]:
     """Seeded, order-preserving subsample (for small closed-model sweeps)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n > len(instances):
         raise SampleTooLarge(f"asked for {n} of {len(instances)} instances")
     chosen = set(random.Random(seed).sample(range(len(instances)), n))

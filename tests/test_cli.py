@@ -131,6 +131,18 @@ class TestPrompt:
         row = next(read_jsonl(workspace / "prompts_zero.jsonl"))
         assert row["prompt"].count("Question:") == 1
 
+    @pytest.mark.parametrize("style", ["zero", "icl", "semantic-icl", "semantic-cot"])
+    def test_manifest_records_the_style_word(self, workspace, style):
+        output = workspace / f"prompts-word-{style}.jsonl"
+        result = trc("prompt", "--dataset", workspace / "data.jsonl", "--style", style,
+                     "--shots", 1, "--output", output)
+        assert result.returncode == 0, result.stderr
+        config = {"style": style, "shots": 0 if style == "zero" else 1,
+                  "reference": "chronological"}
+        manifest = json.loads(Path(f"{output}.manifest.json").read_text())
+        assert manifest["config_digest"] == hashlib.sha256(
+            json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+
 
 
 @pytest.fixture(scope="module")
@@ -490,6 +502,13 @@ class TestSubsample:
         positions = [dataset_ids.index(r["id"]) for r in rows]
         assert positions == sorted(positions)
 
+    def test_negative_n_exits_1(self, workspace):
+        result = trc("subsample", "--dataset", workspace / "data.jsonl",
+                     "--n", -1, "--output", workspace / "sub_negative.jsonl")
+        assert result.returncode == 1
+        assert result.stderr == "error: n must be non-negative\n"
+        assert not (workspace / "sub_negative.jsonl").exists()
+
 
 class TestRowChecks:
     """Every row a command reads is checked; a bad one is one `error:` line."""
@@ -692,7 +711,7 @@ GOLDEN_DIGESTS = {
     "pool-semantic-icl.jsonl":
         "7de3a23cb587956d9d8fb0b4c838f8cd60827fd2426d688a54080b5c6660e44a",
     "pool-semantic-icl.jsonl.manifest.json":
-        "29319017fd4d9912da1e10c74d40f6fd0de5ebb8409366e0b524c521eed2d6d4",
+        "1ee13db2bd5bdacf65bc1d7f66dd1478afcb44095be02aaad3abfdd99a12a9da",
     "pairs.jsonl":
         "7af09a4e06116a8d1d4cb80cc22235fdfe3328a68ba69dcf39d9d9c2d9ed2583",
     "pairs.jsonl.manifest.json":
@@ -700,11 +719,11 @@ GOLDEN_DIGESTS = {
     "semantic-cot-absolute.jsonl":
         "c19f0fcb921abf0b6d18e88b9ca0ba8fd85fc3eb7538e4f9c995d21fd6291e5e",
     "semantic-cot-absolute.jsonl.manifest.json":
-        "526ac5b0a5ccae0567756779949ee00add9fc6fcf74ec47ead8da06dd50acb99",
+        "94cf6e08413cefee0cbe9d93827d02053c6e437af11542c5d09916110613912c",
     "semantic-cot-chronological.jsonl":
         "4d94c2ab0bcd1089ef75146ee7593d2b76d90efea29a3ccd446183f566045eb5",
     "semantic-cot-chronological.jsonl.manifest.json":
-        "7bd87deb02cb22f83ef5ba34dcd013cf4d1372cd29a0aa154a361a79abbd6421",
+        "3a6c5b87f83b8f3deb570d79eebc70a8dbe467e274c98eee69d69a2a176f968a",
     "sft.jsonl":
         "a65953287e615de0715d797ce0e28797b5a34869e09707a5e834159acd0aa5ae",
     "sft.jsonl.manifest.json":

@@ -376,9 +376,14 @@ class TestCollectResponses:
                     signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
 
         many = [(f"p{k}", "absolute", f"prompt {k}") for k in range(40)]
-        with CtrlC(tmp_path / "cache") as cache:
-            with pytest.raises(KeyboardInterrupt):
-                collect_responses(many, config_for(endpoint, parallelism=1), cache)
+        # a run started in the background with `&` inherits SIGINT ignored
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with CtrlC(tmp_path / "cache") as cache:
+                with pytest.raises(KeyboardInterrupt):
+                    collect_responses(many, config_for(endpoint, parallelism=1), cache)
+        finally:
+            signal.signal(signal.SIGINT, previous)
         assert endpoint.requests < len(many)
         assert started_threads and not set(started_threads) & set(threading.enumerate())
 
@@ -644,12 +649,12 @@ class TestExtractAnswer:
                "january 1949 to january 1953, and right before january 1949, "
                "jaroslav pelikan worked for valparaiso university.\n"
                "valparaiso university")
-        assert extract_answer(raw, _prompt("semantic_cot", pelikan_instance)) == \
+        assert extract_answer(raw, _prompt("semantic-cot", pelikan_instance)) == \
             "valparaiso university"
 
     def test_cot_answer_marker(self, pelikan_instance):
         raw = "reasoning goes here\nAnswer: fc ingolstadt 04\ntrailing note"
-        assert extract_answer(raw, _prompt("semantic_cot", pelikan_instance)) == \
+        assert extract_answer(raw, _prompt("semantic-cot", pelikan_instance)) == \
             "fc ingolstadt 04"
 
     def test_empty(self, pelikan_instance):
@@ -663,7 +668,7 @@ class TestExtractAnswer:
         raw = "because of a reasoning line\nAnswer: the answer"
         for shots in (0, 1, 3):
             style = PromptStyle(kind, shots)
-            cot = kind == "semantic_cot" and shots > 0
+            cot = kind == "semantic-cot" and shots > 0
             for inst in synthetic_dataset:
                 query = inst.query(reference)
                 demos = select_demonstrations(pool.without(inst.id), query, style, 0,

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from trc_toolkit.cli import STYLE_BY_FLAG, main
+from trc_toolkit.cli import main
 from trc_toolkit.errors import PairingViolation, PoolTooSmall
 from trc_toolkit.manifest import read_jsonl, write_jsonl
 from trc_toolkit.prompting import (
@@ -35,7 +35,7 @@ def pool(synthetic_dataset):
 
 class TestPromptStyle:
     def test_zero_shot_forces_zero_shots(self):
-        assert PromptStyle("zero_shot", 3).shots == 0
+        assert PromptStyle("zero", 3).shots == 0
 
     def test_default_shots(self):
         assert PromptStyle("icl").shots == 3
@@ -47,11 +47,11 @@ class TestPromptStyle:
 
 class TestSelectDemonstrations:
     def test_zero_shots_empty(self, pool):
-        style = PromptStyle("zero_shot")
+        style = PromptStyle("zero")
         assert select_demonstrations(pool, "anything", style, seed=0) == []
 
     def test_verbatim_copy_ranks_first(self, pool):
-        style = PromptStyle("semantic_icl", 3)
+        style = PromptStyle("semantic-icl", 3)
         query = pool[7].query_chronological
         demos = select_demonstrations(pool, query, style, seed=0)
         assert demos[0].id == pool[7].id
@@ -89,7 +89,7 @@ class TestSelectDemonstrations:
             select_demonstrations(pool[:2], "q", PromptStyle("icl", 3), seed=0)
 
     def test_semantic_ties_broken_by_pool_order(self, pool):
-        style = PromptStyle("semantic_icl", len(pool))
+        style = PromptStyle("semantic-icl", len(pool))
         demos = select_demonstrations(pool, "xyzzy unrelated gibberish", style, seed=0)
         # all scores zero: selection must fall back to pool order
         assert [d.id for d in demos] == [p.id for p in pool]
@@ -191,7 +191,7 @@ class TestRetrievalOracle:
            st.integers(0, 3))
     def test_trc_prompt_matches_oracle(self, case, style_flag, shots, reference, seed):
         pool, targets = case
-        style = PromptStyle(STYLE_BY_FLAG[style_flag], shots)
+        style = PromptStyle(style_flag, shots)
         expected, error = [], None
         for target in targets:
             try:
@@ -306,11 +306,11 @@ class TestScreenedRank:
 
 class TestRenderPrompt:
     def test_zero_shot_is_query_plus_cue(self):
-        prompt = render_prompt("Who?", [], PromptStyle("zero_shot"), "absolute")
+        prompt = render_prompt("Who?", [], PromptStyle("zero"), "absolute")
         assert prompt == "Question: Who?\nAnswer:"
 
     def test_semantic_cot_includes_time_pathway_for_chronological(self, pool):
-        style = PromptStyle("semantic_cot", 3)
+        style = PromptStyle("semantic-cot", 3)
         demos = pool[:3]
         prompt = render_prompt("Who?", demos, style, "chronological")
         for demo in demos:
@@ -319,7 +319,7 @@ class TestRenderPrompt:
             assert demo.query_chronological in prompt
 
     def test_semantic_cot_includes_event_pathway_for_absolute(self, pool):
-        style = PromptStyle("semantic_cot", 3)
+        style = PromptStyle("semantic-cot", 3)
         prompt = render_prompt("Who?", pool[:3], style, "absolute")
         for demo in pool[:3]:
             assert demo.pathway_event_oriented in prompt
@@ -334,7 +334,7 @@ class TestRenderPrompt:
             render_prompt("Who?", pool[:2], PromptStyle("icl", 3), "absolute")
 
     def test_deterministic(self, pool):
-        style = PromptStyle("semantic_icl", 3)
+        style = PromptStyle("semantic-icl", 3)
         query = pool[0].query_chronological
 
         def render():

@@ -20,7 +20,7 @@ from trc_toolkit.querygen import (
     build_consistency_pairs,
     build_dataset,
     build_instance,
-    reference_span,
+    subsample,
 )
 from trc_toolkit.relations import RELATIONS, RelationSpec
 from trc_toolkit.report import ENTITY_ORDER
@@ -39,6 +39,11 @@ SYNTH_AFTER_CONTEXT = (
     "Avery Holt worked for Crescent Union from July 1998 to March 2001. "
     "Avery Holt worked for Summit College from April 2001 to May 2004."
 )
+
+
+def reference_span(query: str) -> str:
+    """The span after a query's direction keyword, without the trailing '?'."""
+    return querygen._reference_after(query, querygen._direction_match(query).end())
 
 
 @pytest.fixture
@@ -116,6 +121,12 @@ class TestBuildPathways:
             "summit college.")
         assert f"right after {reference_span(inst.query_absolute).lower()}," in \
             inst.pathway_time_oriented
+
+    def test_each_reference_kind_has_its_pathway(self, pelikan_instance):
+        assert pelikan_instance.pathway("absolute") == PELIKAN_PATHWAY_EVENT
+        assert pelikan_instance.pathway("chronological") == PELIKAN_PATHWAY_TIME
+        with pytest.raises(ValueError, match="unknown reference kind 'time'"):
+            pelikan_instance.pathway("time")
 
 
 class TestBuildInstance:
@@ -217,6 +228,11 @@ class TestConsistencyPairs:
     def test_sample_too_large(self, synthetic_dataset):
         with pytest.raises(SampleTooLarge):
             build_consistency_pairs(synthetic_dataset, len(synthetic_dataset) + 1, seed=0)
+
+    @pytest.mark.parametrize("sample", [build_consistency_pairs, subsample])
+    def test_negative_n_is_refused(self, synthetic_dataset, sample):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            sample(synthetic_dataset, -1, seed=0)
 
     def test_one_distinct_id_raises_instead_of_hanging(self, synthetic_dataset):
         same = [dataclasses.replace(inst, id="same") for inst in synthetic_dataset[:5]]
