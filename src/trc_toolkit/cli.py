@@ -15,7 +15,7 @@ import click
 from . import client as client_mod
 from . import prompting, querygen, translation
 from .errors import DuplicateResponse, MalformedRecord, ToolkitError
-from .manifest import (JsonRecord, read_json, read_jsonl, read_text, write_json,
+from .manifest import (JsonRecord, read_json, read_jsonl, read_lines, write_json,
                        write_jsonl, write_manifest, write_text)
 from .metrics import EvalReport, ResponsePair, evaluate
 from .querygen import BenchmarkInstance
@@ -234,8 +234,8 @@ def mt_agree(hypothesis, reference, expected_lang, profiles, output):
     """Translation agreement summary: mean chrF++, mean BLEU-3, optional TSR."""
     if profiles and not expected_lang:
         _fail("--profile needs --expected-lang")
-    hyp_lines = read_text(hypothesis).splitlines()
-    ref_lines = read_text(reference).splitlines()
+    hyp_lines = read_lines(hypothesis)
+    ref_lines = read_lines(reference)
     if len(hyp_lines) != len(ref_lines):
         _fail(f"hypothesis has {len(hyp_lines)} lines, reference {len(ref_lines)}")
     if not hyp_lines:
@@ -254,8 +254,7 @@ def mt_agree(hypothesis, reference, expected_lang, profiles, output):
             lang, _, corpus = spec.partition("=")
             if not corpus:
                 _fail(f"--profile must be LANG=CORPUS, got {spec!r}")
-            lines = read_text(corpus).splitlines()
-            lang_profiles.append(translation.LanguageProfile.from_corpus(lang, lines))
+            lang_profiles.append(translation.LanguageProfile.from_corpus(lang, read_lines(corpus)))
             inputs.append(corpus)
         summary["tsr"] = round(translation.translation_success_rate(
             hyp_lines, expected_lang, lang_profiles), 2)

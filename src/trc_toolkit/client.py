@@ -3,34 +3,30 @@
 Requests POST to {base_url}/chat/completions with the usual body
 (model/messages/temperature/max_tokens); the API key comes from the
 TRC_API_KEY environment variable. `collect_responses` runs one loop per
-worker thread, and each worker owns one keep-alive connection.
+worker thread, and each worker owns one keep-alive connection. Sockets,
+proxies and TLS live in `transport`, which loads only when a prompt misses
+the cache.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import heapq
-import http.client
 import json
 import math
 import os
 import random
 import re
-import select
-import ssl
 import threading
 import time
-import urllib.request
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
-from urllib.parse import unquote, urlsplit
+from urllib.parse import urlsplit
 
-from .errors import AuthFailure
-from .manifest import JsonRecord, encode_json, json_type, read_jsonl
+from .manifest import JsonRecord, encode_json, read_jsonl
 from .prompting import REASONING
 
 PARALLELISM_CAP = 16
@@ -188,114 +184,9 @@ class ResponseCache:
         return len(self._entries)
 
 
-@dataclass
-class _Attempt:
-    """One POST. Every failure except an auth failure (raised) may be retried."""
-    raw: str = ""
-    latency: float = 0.0
-    error: Optional[str] = None
-    retry_after: float = 0.0  # the server's delta-seconds Retry-After on a 429
-
-
 def _backoff(attempt: int, rng: random.Random) -> float:
     """0.5 s, doubled per earlier failed attempt up to 2^64, times a jitter in [1, 2); capped."""
     return min(0.5 * 2.0 ** min(attempt, 64) * (1 + rng.random()), RETRY_WAIT_CAP)
-
-
-def _retry_after(value: Optional[str]) -> float:
-    """Delta-seconds of a Retry-After header (RFC 9110 §10.2.3), capped; 0 otherwise.
-
-    An HTTP-date value is not honoured: the client's own backoff applies.
-    """
-    value = (value or "").strip()
-    return min(float(value), RETRY_WAIT_CAP) if value.isascii() and value.isdigit() else 0.0
-
-
-class _Transport:
-    """Where and how to reach one endpoint; each worker opens its own connection.
-
-    The endpoint is reached through the proxy that the environment names for
-    its scheme (HTTP_PROXY, HTTPS_PROXY) unless NO_PROXY matches its host:
-    an http:// URL as an absolute-form request to the proxy, an https:// URL
-    through a CONNECT tunnel. TLS uses `ssl.create_default_context()`.
-    """
-
-    def __init__(self, base_url: str, timeout: float):
-        url = urlsplit(base_url.rstrip("/") + "/chat/completions")
-        self.host = url.hostname
-        self.port = url.port or (443 if url.scheme == "https" else 80)
-        self.target = url.path
-        self.headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            self.headers["Authorization"] = f"Bearer {api_key}"
-        self._timeout = timeout
-        self._context = ssl.create_default_context() if url.scheme == "https" else None
-        self._proxy = None
-        self._tunnel_headers: dict[str, str] = {}
-        proxy = urllib.request.getproxies().get(url.scheme)
-        if proxy and not urllib.request.proxy_bypass(url.netloc):
-            proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            self._proxy = (proxy.hostname, proxy.port or 80)
-            auth = {}
-            if proxy.username:
-                credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
-                token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
-                auth["Proxy-Authorization"] = f"Basic {token}"
-            if self._context:
-                self._tunnel_headers = auth
-            else:
-                self.target = f"http://{url.netloc}{self.target}"
-                self.headers.update(auth)
-
-    def open(self) -> http.client.HTTPConnection:
-        """A keep-alive connection; it connects on its first request."""
-        host, port = self._proxy or (self.host, self.port)
-        if self._context is None:
-            return http.client.HTTPConnection(host, port, timeout=self._timeout)
-        conn = http.client.HTTPSConnection(host, port, timeout=self._timeout,
-                                           context=self._context)
-        if self._proxy:
-            conn.set_tunnel(self.host, self.port, headers=self._tunnel_headers)
-        return conn
-
-
-def _readable(sock) -> bool:
-    """Whether a read from `sock` would return at once."""
-    if not hasattr(select, "poll"):  # Windows, where select() takes any socket
-        return bool(select.select([sock], [], [], 0)[0])
-    poller = select.poll()  # unlike select(), not limited to descriptors below 1024
-    poller.register(sock, select.POLLIN)
-    return bool(poller.poll(0))
-
-
-def _request_completion(body: bytes, transport: _Transport,
-                        conn: http.client.HTTPConnection) -> _Attempt:
-    # An idle keep-alive socket that polls readable was closed by the server or
-    # holds bytes nobody asked for: close it, and this request opens a new one.
-    if conn.sock is not None and _readable(conn.sock):
-        conn.close()
-    started = time.monotonic()
-    try:
-        conn.request("POST", transport.target, body, transport.headers)
-        resp = conn.getresponse()
-        payload = resp.read()
-    except (OSError, http.client.HTTPException) as exc:
-        conn.close()
-        return _Attempt(error=f"request failed: {type(exc).__name__}: {exc}")
-    if resp.status in (401, 403):
-        raise AuthFailure(f"endpoint returned {resp.status}")
-    if resp.status != 200:
-        retry_after = _retry_after(resp.getheader("Retry-After")) \
-            if resp.status == 429 else 0.0
-        return _Attempt(error=f"HTTP {resp.status}", retry_after=retry_after)
-    try:
-        content = json.loads(payload)["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        return _Attempt(error=f"malformed response body: {exc}")
-    if type(content) is not str:  # a null content is a failed call, not an empty answer
-        return _Attempt(error=f"malformed response body: content is {json_type(content)}")
-    return _Attempt(raw=content, latency=time.monotonic() - started)
 
 
 def collect_responses(prompts: Sequence[tuple[str, str, str]],
@@ -328,7 +219,9 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
     errors: dict[str, str] = {}  # key -> the error of its last attempt
 
     if fresh:
-        transport = _Transport(config.base_url, config.timeout)
+        # Imported here, so that a run of cache hits never loads the HTTP and TLS stack.
+        from .transport import Transport, request_completion
+        transport = Transport(config.base_url, config.timeout)
         retries: list[tuple[float, int]] = []  # heap of (deadline, index)
         tries: dict[int, int] = {}  # failed attempts so far, per index
         rngs: dict[int, random.Random] = {}
@@ -354,7 +247,7 @@ def collect_responses(prompts: Sequence[tuple[str, str, str]],
                             if failures:
                                 return
                         body = request_body(config.model_name, prompts[index][2], *settings)
-                        attempt = _request_completion(body, transport, conn)
+                        attempt = request_completion(body, transport, conn)
                         if attempt.error is None:
                             cache.put(keys[index], {
                                 "prompt_hash": keys[index], "raw_completion": attempt.raw,

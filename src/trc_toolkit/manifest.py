@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import types
 from dataclasses import MISSING, fields
 from datetime import datetime, timezone
@@ -28,9 +29,25 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    if len(text) > 308 and math.isinf(float(text)):  # past the largest double
+        raise ValueError(f"number of {len(text.lstrip('-'))} digits is out of range")
+    return int(text)
+
+
 # Built once, like `encode_json`. NaN, Infinity and -Infinity, which `json.loads`
-# takes, are not JSON (RFC 8259); every read refuses them.
-decode_json = json.JSONDecoder(parse_constant=_reject_constant).decode
+# takes, are not JSON (RFC 8259). A number past the largest double, such as
+# 1e400, would read as one of them or fail as it converts. Every read refuses
+# all of these.
+decode_json = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float,
+                               parse_int=_finite_int).decode
 
 _JSON_TYPES = {str: "string", int: "number", float: "number", bool: "boolean",
                type(None): "null", list: "array", dict: "object"}
@@ -91,7 +108,7 @@ def read_jsonl(path: str | Path, cls: type[JsonRecord] | None = None, *,
     With `skip_undecodable`, a line that is not UTF-8 JSON is passed over instead."""
     with Path(path).open("rb") as fh:
         for number, line in enumerate(fh, 1):
-            try:   # not UTF-8, not JSON or a NaN/Infinity: each is a ValueError
+            try:   # not UTF-8, not JSON, NaN/Infinity or out of range: each is a ValueError
                 line = line.decode("utf-8")
                 if not line.strip():
                     continue
@@ -115,6 +132,13 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedRecord(f"{path}: {exc}") from exc
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """A UTF-8 text file's lines, split at line ends only (LF, CRLF or CR): unlike
+    `str.splitlines`, a form feed, U+0085 or U+2028 stays inside its line."""
+    text = read_text(path)
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def read_json(path: str | Path, cls: type[JsonRecord]):

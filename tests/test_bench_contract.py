@@ -51,6 +51,20 @@ def test_tracer_wraps_and_unwraps_every_name(bench):
     assert left == []
 
 
+def test_transport_binds_no_name_the_tracer_wraps(bench):
+    """A cold collect imports `transport` after `instrument`; a wrapper it bound would stay."""
+    _, tracer = bench
+    from trc_toolkit import transport
+    t = tracer.Tracer()
+    try:
+        tracer.instrument(t)
+        bound = [name for name, value in vars(transport).items()
+                 if getattr(value, "bench_traced", False)]
+    finally:
+        t.remove()
+    assert bound == []
+
+
 def _prepare(inputs, monkeypatch, workload, out):
     """`inputs.prepare`, and the response caches it opened, closed."""
     caches = []   # the set-up leaves its cache open until the process exits; the test closes it

@@ -13,9 +13,11 @@ import pytest
 import trc_toolkit
 from trc_toolkit import cli
 from trc_toolkit.manifest import read_jsonl, write_jsonl
+from trc_toolkit.translation import chrf_pp
 
 from synthkb import make_records, make_timelines
 from test_client import MockEndpoint
+from test_manifest import NETWORK_MODULES
 
 # The `trc` child process imports the same package as the tests, installed or not.
 _PACKAGE_ROOT = str(Path(trc_toolkit.__file__).resolve().parents[1])
@@ -476,6 +478,30 @@ class TestMtAgree:
                      "--output", workspace / "bad.json")
         assert result.returncode == 1
 
+    def test_only_a_line_end_splits_a_line(self, tmp_path):
+        # U+0085 inside a hypothesis leaves it one line against a two-line reference
+        (tmp_path / "hyp.txt").write_text("le chat\x85noir\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("le chat\nnoir\n", encoding="utf-8")
+        result = trc("mt-agree", "--hypothesis", tmp_path / "hyp.txt",
+                     "--reference", tmp_path / "ref.txt", "--output", tmp_path / "mt.json")
+        assert result.returncode == 1
+        assert result.stderr == "error: hypothesis has 1 lines, reference 2\n"
+        assert not (tmp_path / "mt.json").exists()
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\u2028", "\x1e", "\x0b"],
+                             ids=["form-feed", "line-separator", "record-separator", "vt"])
+    def test_a_line_with_a_separator_is_one_pair(self, tmp_path, separator):
+        hyp = [f"the committee{separator}approved it", "she walked home"]
+        ref = ["the committee approved it", "she walked home"]
+        (tmp_path / "hyp.txt").write_bytes("\r\n".join(hyp).encode("utf-8"))
+        (tmp_path / "ref.txt").write_bytes(("\n".join(ref) + "\n").encode("utf-8"))
+        result = trc("mt-agree", "--hypothesis", tmp_path / "hyp.txt",
+                     "--reference", tmp_path / "ref.txt", "--output", tmp_path / "mt.json")
+        assert result.returncode == 0, result.stderr
+        summary = json.loads((tmp_path / "mt.json").read_text())
+        chrf = [chrf_pp(h, r) for h, r in zip(hyp, ref)]
+        assert summary["chrf_pp_mean"] == round(sum(chrf) / 2, 2)
+
     @pytest.mark.parametrize("latin1", ["hypothesis", "reference", "profile"])
     def test_non_utf8_input_is_named(self, tmp_path, latin1):
         files = {name: tmp_path / f"{name}.txt" for name in ("hypothesis", "reference", "profile")}
@@ -588,12 +614,15 @@ class TestRowChecks:
         assert result.stderr == f"error: {source}:2: NaN is not a JSON value\n"
         assert not (workspace / "data_nan.jsonl").exists()
 
-    @pytest.mark.parametrize("changes, constant", [
-        ({"trc": math.nan, "per_entity": [math.inf, 50.0, 30]}, "NaN"),
-        ({"per_entity": [math.inf, 50.0, 30]}, "Infinity"),
-        ({"em_ctr": -math.inf}, "-Infinity"),
-    ], ids=["nan-and-inf", "inf", "minus-inf"])
-    def test_non_json_constant_in_report_is_named(self, scored, changes, constant):
+    @pytest.mark.parametrize("changes, refused", [
+        ({"trc": math.nan, "per_entity": [math.inf, 50.0, 30]}, "NaN is not a JSON value"),
+        ({"per_entity": [math.inf, 50.0, 30]}, "Infinity is not a JSON value"),
+        ({"em_ctr": -math.inf}, "-Infinity is not a JSON value"),
+        # a number string here is written unquoted: 1e400, which reads as inf
+        ({"em_ctr": "1e400", "per_entity": [40.0, "1e999", 30]}, "number 1e400 is out of range"),
+        ({"per_entity": [40.0, "-1e999", 30]}, "number -1e999 is out of range"),
+    ], ids=["nan-and-inf", "inf", "minus-inf", "overflow", "overflow-in-breakdown"])
+    def test_non_json_constant_in_report_is_named(self, scored, changes, refused):
         report = json.loads((scored / "eval.json").read_text())
         for field, value in changes.items():
             if field == "per_entity":
@@ -601,11 +630,11 @@ class TestRowChecks:
             else:
                 report[field] = value
         path = scored / "eval_constant.json"
-        path.write_text(json.dumps(report))
+        path.write_text(re.sub(r'"(-?1e\d+)"', r"\1", json.dumps(report)))
         result = trc("report", "--report", path, "--dataset", scored / "data.jsonl",
                      "--output", scored / "constant")
         assert result.returncode == 1
-        assert result.stderr == f"error: {path}: {constant} is not a JSON value\n"
+        assert result.stderr == f"error: {path}: {refused}\n"
         assert not (scored / "constant.json").exists()
 
     def test_invalid_utf8_line_is_named(self, workspace):
@@ -825,3 +854,85 @@ def test_every_option_is_documented_in_the_readme():
     undocumented = sorted((name, opt) for name, opt in _declared_options()
                           if not re.search(re.escape(opt) + r"(?![\w-])", readme))
     assert not undocumented
+
+
+# Runs every command in one fresh interpreter, in-process, and prints the
+# network modules loaded after the commands that send nothing and again after
+# a collect with one cache miss.
+_SEND_NOTHING_SCRIPT = r"""
+import contextlib, io, json, sys
+from synthkb import make_records, make_timelines
+from trc_toolkit import cli, client
+from trc_toolkit.manifest import read_jsonl, write_jsonl
+from trc_toolkit.translation import chrf_pp
+
+endpoint, network = sys.argv[1], json.loads(sys.argv[2])
+
+def run(*argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(list(argv), standalone_mode=False)
+    except SystemExit as exc:
+        return argv[0], exc.code
+    return argv[0], 0
+
+def loaded():
+    return [name for name in network if name in sys.modules]
+
+write_jsonl("source.jsonl", make_records(make_timelines(6, seed=5)))
+for name, text in [("hyp.txt", "the committee approved the report\n"),
+                   ("ref.txt", "the committee approved a report\n"),
+                   ("en.txt", "she walked through the town\n"),
+                   ("fr.txt", "elle a traverse la ville\n")]:
+    with open(name, "w", encoding="utf-8") as fh:
+        fh.write(text)
+codes = [run("build", "source.jsonl", "--output", "data.jsonl"),
+         run("pairs", "--dataset", "data.jsonl", "--n", "2", "--output", "pairs.jsonl"),
+         run("subsample", "--dataset", "data.jsonl", "--n", "3", "--output", "sub.jsonl"),
+         run("export-sft", "--dataset", "data.jsonl", "--output", "sft.jsonl"),
+         run("prompt", "--dataset", "data.jsonl", "--style", "semantic-cot",
+             "--reference", "absolute", "--output", "p_absolute.jsonl"),
+         run("prompt", "--dataset", "data.jsonl", "--reference", "chronological",
+             "--output", "p_chronological.jsonl")]
+rows = [row for ref in ("absolute", "chronological") for row in read_jsonl(f"p_{ref}.jsonl")]
+write_jsonl("prompts.jsonl", rows)
+with client.ResponseCache("cache") as cache:
+    for row in rows:
+        key = client.prompt_hash("m", row["prompt"])
+        cache.put(key, {"prompt_hash": key, "raw_completion": "x", "latency": 0.0})
+collect = ["collect", "--endpoint", endpoint, "--model", "m", "--cache-dir", "cache"]
+codes += [run(*collect, "--prompts", "prompts.jsonl", "--output", "responses.jsonl"),
+          run("evaluate", "--dataset", "data.jsonl", "--responses", "responses.jsonl",
+              "--output", "eval.json"),
+          run("report", "--report", "eval.json", "--dataset", "data.jsonl",
+              "--output", "final"),
+          run("mt-agree", "--hypothesis", "hyp.txt", "--reference", "ref.txt",
+              "--expected-lang", "en", "--profile", "en=en.txt", "--profile", "fr=fr.txt",
+              "--output", "mt.json")]
+print(json.dumps({"codes": codes, "loaded": loaded()}))
+write_jsonl("miss.jsonl", [dict(rows[0], prompt=rows[0]["prompt"] + " Again?")])
+code = run(*collect, "--prompts", "miss.jsonl", "--output", "miss_responses.jsonl")
+print(json.dumps({"codes": [code], "loaded": loaded()}))
+"""
+
+
+def test_commands_that_send_nothing_load_no_network_module(tmp_path):
+    endpoint = MockEndpoint()
+    try:
+        env = dict(_TRC_ENV, PYTHONPATH=os.pathsep.join(
+            [_TRC_ENV["PYTHONPATH"], str(Path(__file__).resolve().parent)]))
+        result = subprocess.run(
+            [sys.executable, "-c", _SEND_NOTHING_SCRIPT, endpoint.url + "/v1",
+             json.dumps(NETWORK_MODULES)],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+    finally:
+        endpoint.close()
+    assert result.returncode == 0, result.stderr
+    offline, sending = map(json.loads, result.stdout.splitlines())
+    assert [name for name, _ in offline["codes"]] == [
+        "build", "pairs", "subsample", "export-sft", "prompt", "prompt",
+        "collect", "evaluate", "report", "mt-agree"]
+    assert all(code == 0 for _, code in offline["codes"]), offline["codes"]
+    assert offline["loaded"] == []
+    assert endpoint.requests == 1   # only the miss was sent
+    assert sending == {"codes": [["collect", 0]], "loaded": NETWORK_MODULES}

@@ -13,7 +13,8 @@ import trc_toolkit
 from trc_toolkit import cli
 from trc_toolkit.client import CacheEntry, CompletionRecord
 from trc_toolkit.errors import MalformedRecord
-from trc_toolkit.manifest import JsonRecord, _fields, encode_json, read_json, read_jsonl
+from trc_toolkit.manifest import (JsonRecord, _fields, encode_json, read_json, read_jsonl,
+                                  read_lines)
 from trc_toolkit.metrics import EvalReport
 from trc_toolkit.prompting import PromptRow, SftRecord
 from trc_toolkit.querygen import BenchmarkInstance, ConsistencyPair, SourceRecord
@@ -92,17 +93,25 @@ def test_non_utf8_line_is_malformed_or_skipped(tmp_path):
     assert list(read_jsonl(path, skip_undecodable=True)) == [{"a": 1}, {"a": 3}]
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
-def test_non_json_constant_is_malformed_or_skipped(tmp_path, constant):
+@pytest.mark.parametrize("constant, refused", [
+    pytest.param(constant, f"{constant} is not a JSON value", id=constant)
+    for constant in ("NaN", "Infinity", "-Infinity")
+] + [  # a number that reads as ±inf would be written back as Infinity
+    pytest.param(number, f"number {number} is out of range", id=number)
+    for number in ("1e400", "-1e999", "1.5e309")
+] + [
+    pytest.param("-" + "9" * 309, "number of 309 digits is out of range", id="309-digit-integer"),
+])
+def test_non_json_constant_is_malformed_or_skipped(tmp_path, constant, refused):
     path = tmp_path / "rows.jsonl"
     path.write_text(f'{{"a": 1}}\n{{"a": [2, {constant}]}}\n{{"a": 3}}\n')
     with pytest.raises(MalformedRecord, match=f"^{re.escape(str(path))}:2: "
-                                              f"{re.escape(constant)} is not a JSON value$"):
+                                              f"{re.escape(refused)}$"):
         list(read_jsonl(path))
     assert list(read_jsonl(path, skip_undecodable=True)) == [{"a": 1}, {"a": 3}]
     doc = tmp_path / "doc.json"
     doc.write_text(f'{{"prompt_hash": "k", "raw_completion": "x", "latency": {constant}}}')
-    with pytest.raises(MalformedRecord, match=f"^{re.escape(str(doc))}: "):
+    with pytest.raises(MalformedRecord, match=f"^{re.escape(str(doc))}: {re.escape(refused)}$"):
         read_json(doc, CacheEntry)
 
 
@@ -112,6 +121,17 @@ def test_lf_and_crlf_lines_read_alike(tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_bytes(newline.join(map(json.dumps, rows)).encode("utf-8") + newline.encode())
         assert list(read_jsonl(path)) == rows
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("", []), ("\n", [""]), ("a", ["a"]), ("a\n", ["a"]), ("a\n\n", ["a", ""]),
+    ("a\r\nb\rc", ["a", "b", "c"]), ("a\x0cb\u2028c\x85d\n", ["a\x0cb\u2028c\x85d"]),
+], ids=["empty", "newline", "unterminated", "terminated", "blank-last", "crlf-and-cr",
+        "separators"])
+def test_lines_end_at_line_ends_only(tmp_path, text, lines):
+    path = tmp_path / "text.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_lines(path) == lines
 
 
 def _decodes_and_key_error_catches(source: str) -> set[tuple[str | None, str]]:
@@ -143,9 +163,39 @@ def test_only_the_record_rule_decodes_and_key_error_is_no_input_signal():
     found = {(path.name, function, what)
              for path in sorted(package.glob("*.py"))
              for function, what in _decodes_and_key_error_catches(path.read_text("utf-8"))}
-    body_parse = {("client.py", "_request_completion", "json.loads"),
-                  ("client.py", "_request_completion", "except KeyError")}
+    body_parse = {("transport.py", "request_completion", "json.loads"),
+                  ("transport.py", "request_completion", "except KeyError")}
     assert body_parse <= found   # the scan sees what it looks for
     stray = {item for item in found - body_parse
              if item[0] != "manifest.py" or item[2] != "json.loads"}
     assert not stray
+
+
+# Modules of the HTTP and TLS stack; `urllib.parse` is not one of them.
+NETWORK_MODULES = ["http.client", "ssl", "email", "socket", "select", "base64",
+                   "urllib.request"]
+
+
+def _network_imports(source: str) -> set[str]:
+    """Each module of NETWORK_MODULES, or a submodule, that `source` imports anywhere."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {name for name in names for module in NETWORK_MODULES
+                  if name == module or name.startswith(module + ".")}
+    return found
+
+
+def test_only_transport_imports_the_network_stack():
+    """A command that sends nothing must not load sockets or TLS (see transport.py)."""
+    package = Path(trc_toolkit.__file__).parent
+    found = {path.name: _network_imports(path.read_text("utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {"http.client", "ssl", "select", "base64", "urllib.request"} <= found["transport.py"]
+    assert {name: modules for name, modules in found.items()
+            if modules and name != "transport.py"} == {}
