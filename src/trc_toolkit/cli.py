@@ -72,16 +72,15 @@ def pairs(dataset, n, seed, output):
 
 @main.command("export-sft")
 @click.option("--dataset", required=True, type=click.Path(exists=True))
-@click.option("--pairing", type=click.Choice(["cross", "unilateral"]),
+@click.option("--pairing", type=click.Choice(prompting.PAIRINGS),
               default="cross", show_default=True)
 @click.option("--output", required=True, type=click.Path())
 def export_sft(dataset, pairing, output):
     """Export instruction-tuning records under the chosen pathway pairing."""
-    pairing_mode = "unilateral_absolute" if pairing == "unilateral" else "cross"
     instances = list(read_jsonl(dataset, BenchmarkInstance))
-    records = prompting.export_sft(instances, pairing_mode)
+    records = prompting.export_sft(instances, pairing)
     write_jsonl(output, (r.to_dict() for r in records))
-    _finish({"pairing": pairing_mode}, [dataset], [output],
+    _finish({"pairing": pairing}, [dataset], [output],
             f"wrote {len(records)} SFT records -> {output}")
 
 
@@ -101,20 +100,8 @@ def prompt(dataset, pool, style, shots, reference, seed, output):
     """Render evaluation prompts for every instance in the dataset."""
     style = prompting.PromptStyle(style, shots)
     targets = list(read_jsonl(dataset, BenchmarkInstance))
-    by_language: dict[str, list[BenchmarkInstance]] = {}
-    for inst in read_jsonl(pool, BenchmarkInstance) if pool else targets:
-        by_language.setdefault(inst.language, []).append(inst)
-    pools = {lang: prompting.DemoPool(items) for lang, items in by_language.items()}
-    no_pool = prompting.DemoPool([])
-    rows = []
-    for inst in targets:
-        query = inst.query(reference)
-        # the same-language pool minus every entry with the target's id
-        candidates = pools.get(inst.language, no_pool).without(inst.id)
-        demos = prompting.select_demonstrations(
-            candidates, query, style, seed, reference_kind=reference)
-        rows.append(prompting.PromptRow(
-            inst.id, reference, prompting.render_prompt(query, demos, style, reference)))
+    demos = read_jsonl(pool, BenchmarkInstance) if pool else targets
+    rows = prompting.render_rows(targets, demos, style, reference, seed)
     write_jsonl(output, (row.to_dict() for row in rows))
     inputs = [dataset] + ([pool] if pool else [])
     _finish({"style": style.kind, "shots": style.shots, "reference": reference},
@@ -240,6 +227,9 @@ def mt_agree(hypothesis, reference, expected_lang, profiles, output):
         _fail(f"hypothesis has {len(hyp_lines)} lines, reference {len(ref_lines)}")
     if not hyp_lines:
         _fail("empty input files")
+    for n, (hyp, ref) in enumerate(zip(hyp_lines, ref_lines), 1):
+        if not hyp.strip() and not ref.strip():  # chrF++ would score it 100, BLEU-3 0
+            _fail(f"blank line pair at {hypothesis}:{n} and {reference}:{n}")
     chrf_scores = [translation.chrf_pp(h, r) for h, r in zip(hyp_lines, ref_lines)]
     bleu_scores = [translation.bleu_n(h, r) for h, r in zip(hyp_lines, ref_lines)]
     summary = {

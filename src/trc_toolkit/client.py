@@ -105,19 +105,17 @@ def prompt_hash(model_name: str, prompt: str,
 
 
 def extract_answer(raw_completion: str, prompt: str) -> str:
-    """The completion's first line or, for a prompt whose demos show a reasoning
-    line, the text after its last `Answer:` (else its last line); "" if empty."""
-    lines = [line.strip() for line in raw_completion.splitlines() if line.strip()]
-    if not lines:
-        return ""
-    if "\n" + REASONING not in prompt:  # a reasoning line follows its demo's question
-        return lines[0]
-    matches = list(_ANSWER_MARKER.finditer(raw_completion))
-    if matches:
-        tail = raw_completion[matches[-1].end():].strip()
-        if tail:
-            return tail.splitlines()[0].strip()
-    return lines[-1]
+    """The first line of the completion or, for a prompt whose demos show a
+    reasoning line, of the text after its last `Answer:` (else its last line),
+    once a leading `Answer:` label is dropped, whatever the style; "" if empty."""
+    text = raw_completion.strip()
+    if "\n" + REASONING in prompt:  # a reasoning line follows its demo's question
+        matches = list(_ANSWER_MARKER.finditer(text))
+        tail = text[matches[-1].end():].strip() if matches else ""
+        text = tail or (text.splitlines() or [""])[-1]
+    label = _ANSWER_MARKER.match(text)
+    lines = (text[label.end():].strip() if label else text).splitlines()
+    return lines[0].strip() if lines else ""
 
 
 class ResponseCache:

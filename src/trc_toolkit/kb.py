@@ -129,10 +129,6 @@ class Timeline:
     def __len__(self) -> int:
         return len(self.facts)
 
-    def render(self) -> str:
-        """Canonical fact-context text; parse_fact_context round-trips it."""
-        return " ".join(f.sentence() + "." for f in self.facts)
-
     def index_of_object(self, name: str) -> Optional[int]:
         target = name.strip().lower()
         for i, f in enumerate(self.facts):

@@ -13,7 +13,7 @@ import math
 import random
 import re
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import PairingViolation, PoolTooSmall
@@ -22,7 +22,7 @@ from .querygen import BenchmarkInstance
 
 STYLE_KINDS = ("zero", "icl", "semantic-icl", "semantic-cot")  # the `--style` words
 REFERENCE_KINDS = ("absolute", "chronological")
-PAIRINGS = ("cross", "unilateral_absolute")
+PAIRINGS = ("cross", "unilateral")  # the `--pairing` words
 REASONING = "Reasoning: "  # the label of a semantic-cot demo's reasoning; no other style has it
 
 # The one instruction every SFT record carries (UnTRaP trains from it).
@@ -32,7 +32,7 @@ INSTRUCTION = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class PromptStyle:
     kind: str = "icl"
     shots: int = 3
@@ -43,7 +43,7 @@ class PromptStyle:
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
         if self.kind == "zero":
-            object.__setattr__(self, "shots", 0)
+            self.shots = 0
 
 
 @dataclass
@@ -278,13 +278,30 @@ def render_prompt(query: str, demos: list[BenchmarkInstance],
     return "\n\n".join(blocks)
 
 
+def render_rows(targets: Sequence[BenchmarkInstance], pool: Iterable[BenchmarkInstance],
+                style: PromptStyle, reference_kind: str, seed: int) -> list[PromptRow]:
+    """One row per target; its demos come from its language's pool minus its id's entries."""
+    by_language: dict[str, list] = {inst.language: [] for inst in targets}
+    for inst in pool:
+        by_language.setdefault(inst.language, []).append(inst)
+    pools = {lang: DemoPool(items) for lang, items in by_language.items()}
+    rows = []
+    for inst in targets:
+        query = inst.query(reference_kind)
+        demos = select_demonstrations(pools[inst.language].without(inst.id), query, style,
+                                      seed, reference_kind=reference_kind)
+        rows.append(PromptRow(inst.id, reference_kind,
+                              render_prompt(query, demos, style, reference_kind)))
+    return rows
+
+
 def render_sft_record(instance: BenchmarkInstance, reference_kind: str,
                       pairing: str) -> SftRecord:
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
     if reference_kind not in REFERENCE_KINDS:
         raise ValueError(f"unknown reference kind {reference_kind!r}")
-    if pairing == "unilateral_absolute" and reference_kind != "absolute":
+    if pairing == "unilateral" and reference_kind != "absolute":
         raise PairingViolation("unilateral export only covers absolute queries")
     pathway = instance.pathway(reference_kind)
     return SftRecord(

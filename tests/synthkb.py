@@ -45,6 +45,11 @@ def make_timelines(n: int, seed: int, allow_ongoing: bool = True) -> list[Timeli
     return [make_timeline(rng, i, allow_ongoing) for i in range(n)]
 
 
+def render(timeline: Timeline) -> str:
+    """Canonical fact-context text; parse_fact_context round-trips it."""
+    return " ".join(f.sentence() + "." for f in timeline.facts)
+
+
 def make_records(timelines: list[Timeline]) -> list[dict]:
     """One raw source record per (fact, direction), boundary anchors included.
 
@@ -65,7 +70,7 @@ def make_records(timelines: list[Timeline]) -> list[dict]:
                     "question": question,
                     "subject": timeline.subject,
                     "relation": timeline.relation,
-                    "fact_context": timeline.render(),
+                    "fact_context": render(timeline),
                 }
                 neighbor = None
                 if direction == "before" and fi > 0:

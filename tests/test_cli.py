@@ -8,10 +8,11 @@ import sys
 import threading
 from pathlib import Path
 
+import click
 import pytest
 
 import trc_toolkit
-from trc_toolkit import cli
+from trc_toolkit import cli, prompting
 from trc_toolkit.manifest import read_jsonl, write_jsonl
 from trc_toolkit.translation import chrf_pp
 
@@ -102,7 +103,7 @@ class TestExportSft:
         rows = list(read_jsonl(workspace / "sft_uni.jsonl"))
         dataset_size = len(list(read_jsonl(workspace / "data.jsonl")))
         assert len(rows) == dataset_size
-        assert all(r["pairing"] == "unilateral_absolute" for r in rows)
+        assert all(r["pairing"] == "unilateral" for r in rows)
 
 
 class TestPrompt:
@@ -502,6 +503,26 @@ class TestMtAgree:
         chrf = [chrf_pp(h, r) for h, r in zip(hyp, ref)]
         assert summary["chrf_pp_mean"] == round(sum(chrf) / 2, 2)
 
+    @pytest.mark.parametrize("blank", ["", " \t"], ids=["empty", "whitespace"])
+    def test_a_blank_line_pair_exits_1_naming_both_lines(self, tmp_path, blank):
+        (tmp_path / "hyp.txt").write_text(f"le chat noir\n{blank}\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("le chat noir\n\n", encoding="utf-8")
+        result = trc("mt-agree", "--hypothesis", tmp_path / "hyp.txt",
+                     "--reference", tmp_path / "ref.txt", "--output", tmp_path / "mt.json")
+        assert result.returncode == 1
+        assert result.stderr == (f"error: blank line pair at {tmp_path / 'hyp.txt'}:2 "
+                                 f"and {tmp_path / 'ref.txt'}:2\n")
+        assert not (tmp_path / "mt.json").exists()
+
+    def test_a_blank_hypothesis_scores_0(self, tmp_path):
+        (tmp_path / "hyp.txt").write_text("\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("le chat noir\n", encoding="utf-8")
+        result = trc("mt-agree", "--hypothesis", tmp_path / "hyp.txt",
+                     "--reference", tmp_path / "ref.txt", "--output", tmp_path / "mt.json")
+        assert result.returncode == 0, result.stderr
+        summary = json.loads((tmp_path / "mt.json").read_text())
+        assert summary["chrf_pp_mean"] == 0 and summary["bleu_n_mean"] == 0
+
     @pytest.mark.parametrize("latin1", ["hypothesis", "reference", "profile"])
     def test_non_utf8_input_is_named(self, tmp_path, latin1):
         files = {name: tmp_path / f"{name}.txt" for name in ("hypothesis", "reference", "profile")}
@@ -847,6 +868,17 @@ def _declared_options() -> set[tuple[str, str]]:
 def test_deleted_setting_is_not_declared(command, option):
     assert command in cli.main.commands
     assert (command, option) not in _declared_options()
+
+
+def test_each_choice_option_takes_one_library_vocabulary():
+    """An option's words are the library's own, so nothing maps one word to another."""
+    vocabularies = {prompting.STYLE_KINDS, prompting.REFERENCE_KINDS, prompting.PAIRINGS}
+    choices = {(name, param.name): tuple(param.type.choices)
+               for name, command in cli.main.commands.items() for param in command.params
+               if isinstance(param.type, click.Choice)}
+    assert set(choices) == {("prompt", "style"), ("prompt", "reference"),
+                            ("export-sft", "pairing")}
+    assert {key: words for key, words in choices.items() if words not in vocabularies} == {}
 
 
 def test_every_option_is_documented_in_the_readme():

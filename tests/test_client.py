@@ -661,6 +661,19 @@ class TestExtractAnswer:
         assert extract_answer("", _prompt("icl", pelikan_instance)) == ""
 
     @pytest.mark.parametrize("kind", STYLE_KINDS)
+    @pytest.mark.parametrize("shots", [0, 3])
+    def test_a_leading_label_is_dropped_under_every_style(self, synthetic_dataset, kind, shots):
+        target = synthetic_dataset[0]
+        query = target.query("absolute")
+        style = PromptStyle(kind, shots)
+        demos = select_demonstrations(DemoPool(synthetic_dataset).without(target.id), query,
+                                      style, 0, reference_kind="absolute")
+        prompt = render_prompt(query, demos, style, "absolute")
+        for raw in ("Answer: Real Madrid", "answer：Real Madrid\nmore", "ANSWER : Real Madrid",
+                    "Answer:\nReal Madrid"):
+            assert extract_answer(raw, prompt) == "Real Madrid", raw
+
+    @pytest.mark.parametrize("kind", STYLE_KINDS)
     @pytest.mark.parametrize("reference", REFERENCE_KINDS)
     def test_the_rule_follows_the_rendered_style(self, synthetic_dataset, kind, reference):
         """Only a semantic-cot prompt with demos is read after `Answer:`."""

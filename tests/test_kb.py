@@ -21,7 +21,7 @@ from trc_toolkit.kb import (
 )
 
 from conftest import PELIKAN_CONTEXT
-from synthkb import make_timelines
+from synthkb import make_timelines, render
 
 
 class TestParseTimePoint:
@@ -110,7 +110,7 @@ class TestParseFactContext:
 class TestRoundTrip:
     def test_render_parse_round_trip_1000_random_timelines(self):
         for timeline in make_timelines(1000, seed=42):
-            parsed = parse_fact_context(timeline.render(), timeline.subject,
+            parsed = parse_fact_context(render(timeline), timeline.subject,
                                         timeline.relation)
             assert parsed == timeline
 

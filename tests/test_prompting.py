@@ -359,14 +359,14 @@ class TestSftExport:
 
     def test_unilateral_rejects_chronological(self, pelikan_instance):
         with pytest.raises(PairingViolation):
-            render_sft_record(pelikan_instance, "chronological", "unilateral_absolute")
+            render_sft_record(pelikan_instance, "chronological", "unilateral")
 
     def test_cross_exports_two_per_instance(self, pool):
         records = export_sft(pool, "cross")
         assert len(records) == 2 * len(pool)
 
     def test_unilateral_exports_one_per_instance(self, pool):
-        records = export_sft(pool, "unilateral_absolute")
+        records = export_sft(pool, "unilateral")
         assert len(records) == len(pool)
         assert all(r.input != "" for r in records)
 
