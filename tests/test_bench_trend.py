@@ -25,7 +25,8 @@ COUNTS = {"trace.spans", "kb.parse_fact_context.calls", "manifest.sha256_file.by
           "prompting.select_demonstrations.calls"}
 SIDES = ("parent", "change")
 ENTRY_KEYS = {"label", "sha", "parent_sha", "date", "python", "cpus", "seconds", "seeds",
-              "pairs", "metrics", "counts", "correct", "failed_iterations", "digests_equal"}
+              "pairs", "metrics", "counts", "correct", "failed_iterations", "digests_equal",
+              "notes"}
 
 
 def _close(a: float, b: float) -> bool:
@@ -65,3 +66,4 @@ def test_trend_entries_follow_the_schema(workload):
             assert set(count) == set(SIDES)
         assert set(entry["failed_iterations"]) == set(SIDES)
         assert isinstance(entry["correct"], bool) and isinstance(entry["digests_equal"], bool)
+        assert isinstance(entry["notes"], str)
