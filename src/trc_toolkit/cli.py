@@ -7,17 +7,16 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
 
 from . import client as client_mod
 from . import prompting, querygen, translation
-from .errors import DuplicateResponse, MalformedRecord, ToolkitError
-from .manifest import (JsonRecord, read_json, read_jsonl, read_lines, write_json,
-                       write_jsonl, write_manifest, write_text)
-from .metrics import EvalReport, ResponsePair, evaluate
+from .errors import ToolkitError
+from .manifest import (read_json, read_jsonl, read_lines, write_json, write_jsonl,
+                       write_manifest, write_text)
+from .metrics import EvalReport, Response, evaluate, pair_responses
 from .querygen import BenchmarkInstance
 from .report import build_report, format_text_report
 
@@ -92,7 +91,7 @@ def export_sft(dataset, pairing, output):
 @click.option("--style", type=click.Choice(prompting.STYLE_KINDS),
               default="icl", show_default=True)
 @click.option("--shots", default=prompting.PromptStyle.shots, show_default=True, type=int)
-@click.option("--reference", type=click.Choice(prompting.REFERENCE_KINDS),
+@click.option("--reference", type=click.Choice(querygen.REFERENCE_KINDS),
               default="chronological", show_default=True)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--output", required=True, type=click.Path())
@@ -140,38 +139,6 @@ def collect(prompts_path, endpoint, model, output, cache_dir, temperature,
         sys.exit(2)
 
 
-@dataclass
-class _Response(JsonRecord):
-    """The fields of a response row that `evaluate` reads."""
-    instance_id: str
-    reference_kind: str
-    answer: str
-    error: str | None = None
-
-    def __post_init__(self):
-        if self.reference_kind not in prompting.REFERENCE_KINDS:
-            raise MalformedRecord(f"unknown reference kind {self.reference_kind!r}")
-
-
-def _group_responses(responses) -> list[ResponsePair]:
-    """Pair each instance's two arms; a response with an error is no answer.
-
-    A second response for one (instance id, reference kind) is rejected,
-    since nothing tells which of the two to score.
-    """
-    seen: set[tuple[str, str]] = set()
-    arms: dict[str, dict[str, str]] = {}
-    for response in responses:
-        key = (response.instance_id, response.reference_kind)
-        if key in seen:
-            raise DuplicateResponse(f"second {key[1]} response for instance {key[0]!r}")
-        seen.add(key)
-        if not response.error:
-            arms.setdefault(response.instance_id, {})[response.reference_kind] = response.answer
-    return [ResponsePair(instance_id, answers["absolute"], answers["chronological"])
-            for instance_id, answers in arms.items() if len(answers) == 2]  # both kinds
-
-
 @main.command("evaluate")
 @click.option("--dataset", required=True, type=click.Path(exists=True))
 @click.option("--responses", required=True, type=click.Path(exists=True))
@@ -179,8 +146,7 @@ def _group_responses(responses) -> list[ResponsePair]:
 def evaluate_cmd(dataset, responses, output):
     """Score collected responses against the dataset."""
     instances = list(read_jsonl(dataset, BenchmarkInstance))
-    pairs = _group_responses(read_jsonl(responses, _Response))
-    report = evaluate(instances, pairs)
+    report = evaluate(instances, pair_responses(read_jsonl(responses, Response)))
     write_json(output, report.to_dict())
     _finish({}, [dataset, responses], [output],
             f"scored {report.m} pairs -> {output}")

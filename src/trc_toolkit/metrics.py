@@ -10,7 +10,7 @@ from __future__ import annotations
 import statistics
 import string
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateInstanceId,
@@ -23,7 +23,7 @@ from .errors import (
     ZeroVariance,
 )
 from .manifest import JsonRecord, encode_json
-from .querygen import BenchmarkInstance
+from .querygen import BenchmarkInstance, check_reference_kind
 from .translation import clipped_count
 
 _ARTICLES = {"a", "an", "the"}
@@ -63,6 +63,37 @@ class ResponsePair:
     instance_id: str
     answer_absolute: str
     answer_chronological: str
+
+
+@dataclass
+class Response(JsonRecord):
+    """The fields of a response row that `evaluate` reads."""
+    instance_id: str
+    reference_kind: str
+    answer: str
+    error: str | None = None
+
+    def __post_init__(self):
+        check_reference_kind(self.reference_kind)
+
+
+def pair_responses(responses: Iterable[Response]) -> list[ResponsePair]:
+    """Pair each instance's two arms; a response with an error is no answer.
+
+    A second response for one (instance id, reference kind) is rejected,
+    since nothing tells which of the two to score.
+    """
+    seen: set[tuple[str, str]] = set()
+    arms: dict[str, dict[str, str]] = {}
+    for response in responses:
+        key = (response.instance_id, response.reference_kind)
+        if key in seen:
+            raise DuplicateResponse(f"second {key[1]} response for instance {key[0]!r}")
+        seen.add(key)
+        if not response.error:
+            arms.setdefault(response.instance_id, {})[response.reference_kind] = response.answer
+    return [ResponsePair(instance_id, answers["absolute"], answers["chronological"])
+            for instance_id, answers in arms.items() if len(answers) == 2]  # both kinds
 
 
 def _pct(x: float) -> float:

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 from .errors import PairingViolation, PoolTooSmall
 from .manifest import JsonRecord
-from .querygen import BenchmarkInstance
+from .querygen import BenchmarkInstance, check_reference_kind
 
 STYLE_KINDS = ("zero", "icl", "semantic-icl", "semantic-cot")  # the `--style` words
-REFERENCE_KINDS = ("absolute", "chronological")
 PAIRINGS = ("cross", "unilateral")  # the `--pairing` words
 REASONING = "Reasoning: "  # the label of a semantic-cot demo's reasoning; no other style has it
 
@@ -265,8 +264,7 @@ def render_prompt(query: str, demos: list[BenchmarkInstance],
     """Question/answer demonstration blocks followed by the target query."""
     if len(demos) != style.shots:
         raise ValueError(f"expected {style.shots} demos, got {len(demos)}")
-    if reference_kind not in REFERENCE_KINDS:
-        raise ValueError(f"unknown reference kind {reference_kind!r}")
+    check_reference_kind(reference_kind)
     blocks = []
     for demo in demos:
         lines = [f"Question: {demo.query(reference_kind)}"]
@@ -299,8 +297,7 @@ def render_sft_record(instance: BenchmarkInstance, reference_kind: str,
                       pairing: str) -> SftRecord:
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
-    if reference_kind not in REFERENCE_KINDS:
-        raise ValueError(f"unknown reference kind {reference_kind!r}")
+    check_reference_kind(reference_kind)
     if pairing == "unilateral" and reference_kind != "absolute":
         raise PairingViolation("unilateral export only covers absolute queries")
     pathway = instance.pathway(reference_kind)

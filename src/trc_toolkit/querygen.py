@@ -28,6 +28,15 @@ from .manifest import JsonRecord
 from .relations import normalize_relation, relation_spec
 
 
+# The two references of an instance, each with its own query and pathway field.
+REFERENCE_KINDS = ("absolute", "chronological")
+
+
+def check_reference_kind(kind: str) -> None:
+    if kind not in REFERENCE_KINDS:
+        raise ValueError(f"unknown reference kind {kind!r}")
+
+
 @dataclass
 class BenchmarkInstance(JsonRecord):
     id: str
@@ -43,20 +52,15 @@ class BenchmarkInstance(JsonRecord):
     fact_context: str
 
     def query(self, reference_kind: str) -> str:
-        if reference_kind == "absolute":
-            return self.query_absolute
-        if reference_kind == "chronological":
-            return self.query_chronological
-        raise ValueError(f"unknown reference kind {reference_kind!r}")
+        check_reference_kind(reference_kind)
+        return self.query_absolute if reference_kind == "absolute" else self.query_chronological
 
     def pathway(self, reference_kind: str) -> str:
         """The rationale aligned with a reference: an absolute query's names the
         anchor event, a chronological query's the boundary time."""
-        if reference_kind == "absolute":
-            return self.pathway_event_oriented
-        if reference_kind == "chronological":
-            return self.pathway_time_oriented
-        raise ValueError(f"unknown reference kind {reference_kind!r}")
+        check_reference_kind(reference_kind)
+        return (self.pathway_event_oriented if reference_kind == "absolute"
+                else self.pathway_time_oriented)
 
 
 @dataclass

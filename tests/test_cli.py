@@ -12,7 +12,7 @@ import click
 import pytest
 
 import trc_toolkit
-from trc_toolkit import cli, prompting
+from trc_toolkit import cli, prompting, querygen
 from trc_toolkit.manifest import read_jsonl, write_jsonl
 from trc_toolkit.translation import chrf_pp
 
@@ -872,7 +872,7 @@ def test_deleted_setting_is_not_declared(command, option):
 
 def test_each_choice_option_takes_one_library_vocabulary():
     """An option's words are the library's own, so nothing maps one word to another."""
-    vocabularies = {prompting.STYLE_KINDS, prompting.REFERENCE_KINDS, prompting.PAIRINGS}
+    vocabularies = {prompting.STYLE_KINDS, querygen.REFERENCE_KINDS, prompting.PAIRINGS}
     choices = {(name, param.name): tuple(param.type.choices)
                for name, command in cli.main.commands.items() for param in command.params
                if isinstance(param.type, click.Choice)}

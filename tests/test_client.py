@@ -26,8 +26,9 @@ from trc_toolkit.client import (
     prompt_hash,
 )
 from trc_toolkit.errors import AuthFailure
-from trc_toolkit.prompting import (REFERENCE_KINDS, STYLE_KINDS, DemoPool, PromptStyle,
-                                   render_prompt, select_demonstrations)
+from trc_toolkit.prompting import (STYLE_KINDS, DemoPool, PromptStyle, render_prompt,
+                                   select_demonstrations)
+from trc_toolkit.querygen import REFERENCE_KINDS
 
 
 class MockEndpoint:

@@ -10,12 +10,11 @@ from pathlib import Path
 import pytest
 
 import trc_toolkit
-from trc_toolkit import cli
 from trc_toolkit.client import CacheEntry, CompletionRecord
 from trc_toolkit.errors import MalformedRecord
 from trc_toolkit.manifest import (JsonRecord, _fields, encode_json, read_json, read_jsonl,
                                   read_lines)
-from trc_toolkit.metrics import EvalReport
+from trc_toolkit.metrics import EvalReport, Response
 from trc_toolkit.prompting import PromptRow, SftRecord
 from trc_toolkit.querygen import BenchmarkInstance, ConsistencyPair, SourceRecord
 
@@ -32,7 +31,7 @@ SAMPLES = {
     CacheEntry: CacheEntry("ab12", "A", 0.25),
     EvalReport: EvalReport(50.0, 75, 60.5, 80.25, 25.0, 19.75, 40.0, 25.0, 4,
                            {"employer": (40.0, 25.0, 4)}, {}),
-    cli._Response: cli._Response("i0", "chronological", "a", "HTTP 503"),
+    Response: Response("i0", "chronological", "a", "HTTP 503"),
 }
 
 

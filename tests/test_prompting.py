@@ -14,7 +14,6 @@ from trc_toolkit.cli import main
 from trc_toolkit.errors import PairingViolation, PoolTooSmall
 from trc_toolkit.manifest import read_jsonl, write_jsonl
 from trc_toolkit.prompting import (
-    REFERENCE_KINDS,
     DemoPool,
     IdfIndex,
     PromptStyle,
@@ -23,7 +22,7 @@ from trc_toolkit.prompting import (
     render_sft_record,
     select_demonstrations,
 )
-from trc_toolkit.querygen import BenchmarkInstance
+from trc_toolkit.querygen import REFERENCE_KINDS, BenchmarkInstance
 
 from conftest import PELIKAN_PATHWAY_EVENT, PELIKAN_PATHWAY_TIME
 
