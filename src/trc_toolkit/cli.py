@@ -63,7 +63,7 @@ def build(source, output, language, skip_log):
 @click.option("--output", required=True, type=click.Path())
 def pairs(dataset, n, seed, output):
     """Export consistency-task pairs (n positive + n antagonist)."""
-    instances = list(read_jsonl(dataset, BenchmarkInstance))
+    instances = querygen.read_dataset(dataset)
     records = querygen.build_consistency_pairs(instances, n, seed)
     write_jsonl(output, (p.to_dict() for p in records))
     _finish({"n": n}, [dataset], [output], f"wrote {len(records)} pairs -> {output}", seed)
@@ -76,7 +76,7 @@ def pairs(dataset, n, seed, output):
 @click.option("--output", required=True, type=click.Path())
 def export_sft(dataset, pairing, output):
     """Export instruction-tuning records under the chosen pathway pairing."""
-    instances = list(read_jsonl(dataset, BenchmarkInstance))
+    instances = querygen.read_dataset(dataset)
     records = prompting.export_sft(instances, pairing)
     write_jsonl(output, (r.to_dict() for r in records))
     _finish({"pairing": pairing}, [dataset], [output],
@@ -98,7 +98,7 @@ def export_sft(dataset, pairing, output):
 def prompt(dataset, pool, style, shots, reference, seed, output):
     """Render evaluation prompts for every instance in the dataset."""
     style = prompting.PromptStyle(style, shots)
-    targets = list(read_jsonl(dataset, BenchmarkInstance))
+    targets = querygen.read_dataset(dataset)
     demos = read_jsonl(pool, BenchmarkInstance) if pool else targets
     rows = prompting.render_rows(targets, demos, style, reference, seed)
     write_jsonl(output, (row.to_dict() for row in rows))
@@ -162,7 +162,7 @@ def evaluate_cmd(dataset, responses, output):
 def report_cmd(report_path, dataset, compare, output):
     """Render the report document (JSON + fixed-width text)."""
     doc = build_report(read_json(report_path, EvalReport),
-                       list(read_jsonl(dataset, BenchmarkInstance)),
+                       querygen.read_dataset(dataset),
                        read_json(compare, EvalReport) if compare else None)
     json_path = Path(f"{output}.json")
     text_path = Path(f"{output}.txt")
@@ -226,7 +226,7 @@ def mt_agree(hypothesis, reference, expected_lang, profiles, output):
 @click.option("--output", required=True, type=click.Path())
 def subsample(dataset, n, seed, output):
     """Seeded order-preserving subsample of a dataset."""
-    instances = list(read_jsonl(dataset, BenchmarkInstance))
+    instances = querygen.read_dataset(dataset)
     chosen = querygen.subsample(instances, n, seed)
     write_jsonl(output, (inst.to_dict() for inst in chosen))
     _finish({"n": n}, [dataset], [output], f"wrote {len(chosen)} instances -> {output}", seed)

@@ -9,6 +9,7 @@ and the toolkit version.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import types
@@ -123,6 +124,14 @@ def read_jsonl(path: str | Path, cls: type[JsonRecord] | None = None, *,
                 except (ValueError, MalformedRecord) as exc:
                     raise MalformedRecord(f"{path}:{number}: {exc}") from exc
             yield row
+
+
+def row_line(path: str | Path, index: int) -> int:
+    """The line number of the row `read_jsonl(path)` yields at `index` (from 0),
+    so that a check made on the rows read can name the line."""
+    with Path(path).open("rb") as fh:
+        rows = (number for number, line in enumerate(fh, 1) if line.decode("utf-8").strip())
+        return next(itertools.islice(rows, index, None))
 
 
 def read_text(path: str | Path) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import statistics
 import string
+import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -27,12 +28,27 @@ from .querygen import BenchmarkInstance, check_reference_kind
 from .translation import clipped_count
 
 _ARTICLES = {"a", "an", "the"}
-_PUNCT_TO_SPACE = str.maketrans(string.punctuation, " " * len(string.punctuation))
+
+
+class _PunctToSpace(dict):
+    """`str.translate` table: ASCII punctuation and Unicode category P to a
+    space, every other character to itself (a None would delete it). Each
+    code point is filled in when first seen, since a table over all of
+    Unicode would be slow to build at import."""
+
+    def __missing__(self, code: int) -> str | int:
+        char = chr(code)
+        self[code] = value = (" " if char in string.punctuation
+                              or unicodedata.category(char)[0] == "P" else code)
+        return value
+
+
+_PUNCT_TO_SPACE = _PunctToSpace()
 
 
 def normalize_answer(text: str) -> list[str]:
-    """Lowercase, strip punctuation, drop articles; returns tokens."""
-    cleaned = text.lower().translate(_PUNCT_TO_SPACE)
+    """NFKC, lowercase, punctuation to spaces, drop articles; returns tokens."""
+    cleaned = unicodedata.normalize("NFKC", text).lower().translate(_PUNCT_TO_SPACE)
     return [t for t in cleaned.split() if t not in _ARTICLES]
 
 

@@ -60,6 +60,9 @@ class PromptRow(JsonRecord):
     reference_kind: str
     prompt: str
 
+    def __post_init__(self):
+        check_reference_kind(self.reference_kind)
+
 
 _TOKEN_RX = re.compile(r"[^\w\s]")
 

@@ -24,7 +24,7 @@ from .errors import (
     ToolkitError,
 )
 from .kb import BEFORE, TemporalFact, neighbor_fact, parse_fact_context
-from .manifest import JsonRecord
+from .manifest import JsonRecord, read_jsonl, row_line
 from .relations import normalize_relation, relation_spec
 
 
@@ -214,6 +214,21 @@ def build_dataset(records: Iterable[dict], language: str = "en",
         built.add(instance.id)
         instances.append(instance)
     return instances, skips
+
+
+def read_dataset(path: str) -> list[BenchmarkInstance]:
+    """The instances of a dataset file. A repeated (id, language) is refused,
+    naming its line, since a command would prompt, export or sample it twice."""
+    instances: list[BenchmarkInstance] = []
+    seen: set[tuple[str, str]] = set()
+    for inst in read_jsonl(path, BenchmarkInstance):
+        if (inst.id, inst.language) in seen:
+            raise DuplicateInstanceId(inst.id, f"{path}:{row_line(path, len(instances))}: "
+                                      f"dataset repeats instance id {inst.id!r} "
+                                      f"in language {inst.language!r}")
+        seen.add((inst.id, inst.language))
+        instances.append(inst)
+    return instances
 
 
 def build_consistency_pairs(instances: list[BenchmarkInstance], n: int,

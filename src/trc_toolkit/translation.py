@@ -172,18 +172,22 @@ def _profile_cosine(counts: Counter, norm: float, profile: LanguageProfile) -> f
     return dot / (norm * profile.norm)
 
 
-def detect_language(text: str, profiles: Sequence[LanguageProfile]) -> str:
+def detect_language(text: str, profiles: Sequence[LanguageProfile]) -> str | None:
+    """The most cosine-similar profile's language; the first on a tie, and None
+    for a text that shares no trigram with any profile (a blank line, say)."""
     if not profiles:
         raise ProfileMissing("no language profiles supplied")
     counts = _trigrams(text)
     norm = math.sqrt(sum(c * c for c in counts.values()))
-    best = max(profiles, key=lambda p: _profile_cosine(counts, norm, p))
-    return best.language
+    score, best = max(((_profile_cosine(counts, norm, p), p) for p in profiles),
+                      key=lambda scored: scored[0])
+    return best.language if score else None
 
 
 def translation_success_rate(texts: Sequence[str], expected: str,
                              profiles: Sequence[LanguageProfile]) -> float:
-    """Percentage of texts whose nearest profile is the expected language."""
+    """Percentage of texts whose nearest profile is the expected language; a
+    text with no language (see `detect_language`) is a miss."""
     languages = {p.language for p in profiles}
     if expected not in languages:
         raise ProfileMissing(f"no profile for expected language {expected!r}")

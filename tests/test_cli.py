@@ -411,6 +411,23 @@ class TestCollect:
         assert [r["answer"] for r in read_jsonl(tmp_path / "responses.jsonl")] == \
             ["X"] * 3 + ["because of a reasoning line"] * 3
 
+    def test_unknown_reference_kind_exits_1_before_any_request(self, tmp_path):
+        write_jsonl(tmp_path / "prompts.jsonl", [
+            {"instance_id": "b0", "reference_kind": "bogus", "prompt": "q"}])
+        endpoint = MockEndpoint()
+        try:
+            result = trc("collect", "--prompts", tmp_path / "prompts.jsonl",
+                         "--endpoint", endpoint.url, "--model", "demo",
+                         "--output", tmp_path / "responses.jsonl",
+                         "--cache-dir", tmp_path / "cache")
+        finally:
+            endpoint.close()
+        assert result.returncode == 1
+        assert result.stderr == (f"error: {tmp_path / 'prompts.jsonl'}:1: "
+                                 "unknown reference kind 'bogus'\n")
+        assert endpoint.requests == 0
+        assert not (tmp_path / "responses.jsonl").exists()
+
     @pytest.mark.parametrize("line, message", [
         ("[1, 2]", "row is array, expected object"),
         ('{"a": 1}', "field 'prompt_hash' is missing"),
@@ -430,6 +447,39 @@ class TestCollect:
         assert result.returncode == 1
         assert result.stderr == f"error: {cache / 'cache.jsonl'}:1: {message}\n"
         assert not (tmp_path / "responses.jsonl").exists()
+
+
+class TestDatasetReader:
+    """Every command that reads a dataset, `--pool` and `evaluate` aside, reads it
+    through `querygen.read_dataset`."""
+
+    COMMANDS = {"pairs": ["--n", 1], "subsample": ["--n", 1], "export-sft": [],
+                "prompt": ["--style", "zero"], "report": ["--report", "eval.json"]}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_repeated_id_and_language_exits_1_naming_its_line(self, scored, command):
+        rows = [json.dumps(row) for row in read_jsonl(scored / "data.jsonl")]
+        path = scored / "data_repeated.jsonl"
+        # a blank line after the first row, so the line is not the row's index
+        path.write_text("\n".join(rows[:1] + [""] + rows[1:] + rows[1:2]) + "\n")
+        repeated = json.loads(rows[1])
+        args = [scored / a if a == "eval.json" else a for a in self.COMMANDS[command]]
+        result = trc(command, "--dataset", path, *args,
+                     "--output", scored / f"repeated_{command}")
+        assert result.returncode == 1
+        assert result.stderr == (f"error: {path}:{len(rows) + 2}: dataset repeats instance id "
+                                 f"{repeated['id']!r} in language {repeated['language']!r}\n")
+        assert not list(scored.glob(f"repeated_{command}*"))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_an_id_repeated_in_another_language_is_read(self, scored, command):
+        rows = list(read_jsonl(scored / "data.jsonl"))
+        path = scored / "data_bilingual.jsonl"
+        write_jsonl(path, rows + [dict(rows[1], language="fr")])
+        args = [scored / a if a == "eval.json" else a for a in self.COMMANDS[command]]
+        result = trc(command, "--dataset", path, *args,
+                     "--output", scored / f"bilingual_{command}")
+        assert result.returncode == 0, result.stderr
 
 
 class TestMtAgree:
@@ -459,6 +509,21 @@ class TestMtAgree:
         assert result.returncode == 0, result.stderr
         summary = json.loads((workspace / "mt_tsr.json").read_text())
         assert summary["tsr"] == 100.0
+
+    @pytest.mark.parametrize("first, second", [("en", "fr"), ("fr", "en")])
+    def test_tsr_does_not_depend_on_the_profile_order(self, tmp_path, first, second):
+        (tmp_path / "en.txt").write_text("the committee approved the report\n")
+        (tmp_path / "fr.txt").write_text("le comité a approuvé le rapport\n")
+        # the blank hypothesis shares no trigram with either profile: a miss
+        (tmp_path / "hyp.txt").write_text("the committee approved the report\n\n")
+        (tmp_path / "ref.txt").write_text("the committee approved the report\nthe report\n")
+        result = trc("mt-agree", "--hypothesis", tmp_path / "hyp.txt",
+                     "--reference", tmp_path / "ref.txt", "--expected-lang", "en",
+                     "--profile", f"{first}={tmp_path / f'{first}.txt'}",
+                     "--profile", f"{second}={tmp_path / f'{second}.txt'}",
+                     "--output", tmp_path / "mt.json")
+        assert result.returncode == 0, result.stderr
+        assert json.loads((tmp_path / "mt.json").read_text())["tsr"] == 50.0
 
     def test_profile_without_expected_lang_exits_1(self, tmp_path):
         # the profiles serve only TSR; none is read, not even the missing one

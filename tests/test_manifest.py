@@ -13,7 +13,7 @@ import trc_toolkit
 from trc_toolkit.client import CacheEntry, CompletionRecord
 from trc_toolkit.errors import MalformedRecord
 from trc_toolkit.manifest import (JsonRecord, _fields, encode_json, read_json, read_jsonl,
-                                  read_lines)
+                                  read_lines, row_line)
 from trc_toolkit.metrics import EvalReport, Response
 from trc_toolkit.prompting import PromptRow, SftRecord
 from trc_toolkit.querygen import BenchmarkInstance, ConsistencyPair, SourceRecord
@@ -43,6 +43,13 @@ def test_every_record_class_round_trips(cls):
     assert cls in SAMPLES, f"no sample for {cls.__name__}"
     text = encode_json(SAMPLES[cls].to_dict())
     assert encode_json(cls.from_dict(json.loads(text)).to_dict()) == text
+
+
+def test_row_line_counts_the_blank_lines_read_jsonl_skips(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n  \n{"a": 2}\r\n\u3000\n{"a": 3}\n', encoding="utf-8")
+    assert [row["a"] for row in read_jsonl(path)] == [1, 2, 3]
+    assert [row_line(path, index) for index in range(3)] == [1, 4, 6]
 
 
 def test_annotation_without_a_json_type_is_refused():

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import string
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +16,13 @@ from trc_toolkit.errors import (
     ZeroVariance,
 )
 from trc_toolkit.metrics import (
+    Response,
     ResponsePair,
     consistent_factuality,
     evaluate,
     exact_match,
     normalize_answer,
+    pair_responses,
     pearson,
     referential_consistency,
     score_deviation,
@@ -49,8 +53,29 @@ class TestNormalizeAnswer:
     @settings(max_examples=300)
     def test_translate_equals_per_character_join(self, text):
         punct = set("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")   # the ASCII punctuation
-        cleaned = "".join(" " if ch in punct else ch for ch in text.lower())
+        cleaned = "".join(" " if ch in punct or unicodedata.category(ch).startswith("P") else ch
+                          for ch in unicodedata.normalize("NFKC", text).lower())
         expected = [t for t in cleaned.split() if t not in {"a", "an", "the"}]
+        assert normalize_answer(text) == expected
+
+    @pytest.mark.parametrize("text, plain", [
+        ("„Partidul Social Democrat”", "Partidul Social Democrat"),   # Romanian quotes
+        ("«Parti socialiste»", "Parti socialiste"),                   # French guillemets
+        ("l’Union européenne", "l'Union européenne"),                 # typographic apostrophe
+        ("Real Madrid…", "Real Madrid"),                              # ellipsis character
+        ("Ｒeal Madrid", "Real Madrid"),                               # fullwidth letter
+    ])
+    def test_non_ascii_punctuation_and_forms_match_the_plain_form(self, text, plain):
+        assert normalize_answer(text) == normalize_answer(plain)
+        assert exact_match(text, plain) == 1
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127)))
+    @settings(max_examples=300)
+    def test_ascii_text_normalises_as_before(self, text):
+        # the rule before NFKC and Unicode punctuation, which covered ASCII alike
+        table = str.maketrans(string.punctuation, " " * len(string.punctuation))
+        expected = [t for t in text.lower().translate(table).split()
+                    if t not in {"a", "an", "the"}]
         assert normalize_answer(text) == expected
 
 
@@ -208,6 +233,24 @@ class TestPearson:
 def _oracle_pairs(dataset, absolute_fn, chronological_fn):
     return [ResponsePair(inst.id, absolute_fn(inst), chronological_fn(inst))
             for inst in dataset]
+
+
+class TestPairResponses:
+    def test_an_instance_is_paired_only_if_both_arms_came_back(self):
+        responses = [Response("i0", "absolute", "x"), Response("i1", "chronological", "y"),
+                     Response("i0", "chronological", "z"),
+                     Response("i1", "absolute", "", "HTTP 503")]
+        assert pair_responses(responses) == [ResponsePair("i0", "x", "z")]
+
+    def test_a_second_response_for_one_arm_is_refused(self):
+        # even when one of the two is an error: nothing tells which one to score
+        responses = [Response("i0", "absolute", "x"), Response("i0", "absolute", "", "timeout")]
+        with pytest.raises(DuplicateResponse, match="second absolute response for instance 'i0'"):
+            pair_responses(responses)
+
+    def test_an_unknown_reference_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown reference kind 'Absolute'"):
+            Response("i0", "Absolute", "x")
 
 
 class TestEvaluate:

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from trc_toolkit.cli import main
-from trc_toolkit.errors import PairingViolation, PoolTooSmall
+from trc_toolkit.errors import DuplicateInstanceId, PairingViolation, PoolTooSmall
 from trc_toolkit.manifest import read_jsonl, write_jsonl
 from trc_toolkit.prompting import (
     DemoPool,
@@ -191,24 +191,33 @@ class TestRetrievalOracle:
     def test_trc_prompt_matches_oracle(self, case, style_flag, shots, reference, seed):
         pool, targets = case
         style = PromptStyle(style_flag, shots)
-        expected, error = [], None
-        for target in targets:
-            try:
-                demos = _oracle_demos(pool, target, style, shots, reference, seed)
-            except PoolTooSmall as exc:
-                error = str(exc)
-                break
-            query = target.query(reference)
-            expected.append(render_prompt(query, demos, style, reference))
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            write_jsonl(tmp / "targets.jsonl", (t.to_dict() for t in targets))
             write_jsonl(tmp / "pool.jsonl", (p.to_dict() for p in pool))
-            result = CliRunner().invoke(main, [
-                "prompt", "--dataset", str(tmp / "targets.jsonl"),
-                "--pool", str(tmp / "pool.jsonl"), "--style", style_flag,
-                "--shots", str(shots), "--reference", reference, "--seed", str(seed),
-                "--output", str(tmp / "prompts.jsonl")])
+
+            def trc_prompt(targets):
+                write_jsonl(tmp / "targets.jsonl", (t.to_dict() for t in targets))
+                return CliRunner().invoke(main, [
+                    "prompt", "--dataset", str(tmp / "targets.jsonl"),
+                    "--pool", str(tmp / "pool.jsonl"), "--style", style_flag,
+                    "--shots", str(shots), "--reference", reference, "--seed", str(seed),
+                    "--output", str(tmp / "prompts.jsonl")])
+
+            keys = [(t.id, t.language) for t in targets]
+            if len(set(keys)) < len(keys):
+                # refused before any ranking; the oracle then ranks the first occurrences
+                assert isinstance(trc_prompt(targets).exception, DuplicateInstanceId)
+                targets = [t for i, t in enumerate(targets) if keys[i] not in keys[:i]]
+            expected, error = [], None
+            for target in targets:
+                try:
+                    demos = _oracle_demos(pool, target, style, shots, reference, seed)
+                except PoolTooSmall as exc:
+                    error = str(exc)
+                    break
+                query = target.query(reference)
+                expected.append(render_prompt(query, demos, style, reference))
+            result = trc_prompt(targets)
             if error is not None:
                 assert isinstance(result.exception, PoolTooSmall)
                 assert str(result.exception) == error

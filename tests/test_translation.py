@@ -192,6 +192,14 @@ class TestTranslationSuccessRate:
         assert detect_language("the employer and the committee", profiles) == "en"
         assert detect_language("le comité et la présidente", profiles) == "fr"
 
+    @pytest.mark.parametrize("first", ["en", "fr"])
+    def test_a_text_sharing_no_trigram_is_a_miss_in_any_profile_order(self, profiles, first):
+        ordered = sorted(profiles, key=lambda p: p.language != first)
+        assert ordered[0].language == first
+        assert detect_language("", ordered) is None
+        texts = ["the committee approved the report", ""]
+        assert translation_success_rate(texts, "en", ordered) == 50.0
+
     def test_missing_expected_profile(self, profiles):
         with pytest.raises(ProfileMissing):
             translation_success_rate(["text"], "ro", profiles)
@@ -219,6 +227,8 @@ def _reference_profile_cosine(counts, profile):
 
 def _reference_detect_language(text, profiles):
     counts = _trigrams(text)
+    if all(_reference_profile_cosine(counts, p) == 0 for p in profiles):
+        return None
     return max(profiles, key=lambda p: _reference_profile_cosine(counts, p)).language
 
 
