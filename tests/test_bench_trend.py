@@ -19,7 +19,10 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
-# Exact counts from one traced run per side: they show a trend with no drift.
+# Exact counts from one traced run per side: they show a trend with no drift,
+# except `manifest.sha256_file.bytes` on collect-cold, which moves by some tens
+# of bytes between runs of one commit: `evaluate` hashes `responses.jsonl`,
+# whose `latency` floats vary in width.
 COUNTS = {"trace.spans", "kb.parse_fact_context.calls", "manifest.sha256_file.bytes",
           "metrics.normalize_answer.calls_per_pair", "client.cache.hits",
           "prompting.select_demonstrations.calls"}
