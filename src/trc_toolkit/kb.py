@@ -1,6 +1,7 @@
-"""Timelines of dated subject-relation-object facts.
+"""The ten knowledge-base relations, and timelines of their dated facts.
 
-Fact contexts arrive as plain sentences like
+`RELATIONS` gives each relation the verb phrase of its fact sentences and the
+entity type of its objects. Fact contexts arrive as plain sentences like
 
     Jaroslav Pelikan worked for Concordia Seminary from January 1949 to January 1953.
 
@@ -17,6 +18,7 @@ from typing import Optional
 from .errors import (
     EmptyContext,
     InvertedInterval,
+    MalformedRecord,
     MalformedTimeExpression,
     NoNeighbor,
     SubjectMismatch,
@@ -24,7 +26,43 @@ from .errors import (
     UnparsableSentence,
     YearOutOfRange,
 )
-from .relations import relation_spec
+
+
+@dataclass(frozen=True)
+class RelationSpec:
+    relation: str
+    phrase: str            # declarative verb phrase used in fact sentences
+    entity_type: str
+
+
+# Adding a relation means adding one entry here, no code changes elsewhere.
+_SPECS = [
+    RelationSpec("member_of_sports_team", "played for", "team"),
+    RelationSpec("position_held", "held", "position"),
+    RelationSpec("employer", "worked for", "employer"),
+    RelationSpec("political_party", "belonged to", "political party"),
+    RelationSpec("head_coach", "was coached by", "person"),
+    RelationSpec("educated_at", "attended", "school"),
+    RelationSpec("chairperson", "was chaired by", "person"),
+    RelationSpec("head_of_government", "had head of government", "person"),
+    RelationSpec("head_of_state", "had head of state", "person"),
+    RelationSpec("owned_by", "was owned by", "person"),
+]
+
+RELATIONS: dict[str, RelationSpec] = {s.relation: s for s in _SPECS}
+
+
+def normalize_relation(relation: str) -> str:
+    """Accept both "member of sports team" and "member_of_sports_team" forms."""
+    key = relation.strip().lower().replace(" ", "_")
+    if key not in RELATIONS:
+        raise MalformedRecord(f"unknown relation {relation!r}")
+    return key
+
+
+def relation_spec(relation: str) -> RelationSpec:
+    return RELATIONS[normalize_relation(relation)]
+
 
 MIN_YEAR = 634
 MAX_YEAR = 2100

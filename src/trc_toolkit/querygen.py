@@ -23,9 +23,9 @@ from .errors import (
     SlotUnresolved,
     ToolkitError,
 )
-from .kb import BEFORE, TemporalFact, neighbor_fact, parse_fact_context
+from .kb import (BEFORE, TemporalFact, neighbor_fact, normalize_relation,
+                 parse_fact_context, relation_spec)
 from .manifest import JsonRecord, read_jsonl, row_line
-from .relations import normalize_relation, relation_spec
 
 
 # The two references of an instance, each with its own query and pathway field.

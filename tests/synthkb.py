@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import random
 
-from trc_toolkit.kb import TemporalFact, TimePoint, Timeline
-from trc_toolkit.relations import RELATIONS, relation_spec
+from trc_toolkit.kb import RELATIONS, TemporalFact, TimePoint, Timeline
 
 FIRST = ["Avery", "Blake", "Casey", "Devon", "Ellis", "Finley", "Harper",
          "Jordan", "Kendall", "Logan", "Morgan", "Noel", "Parker", "Quinn",
@@ -22,6 +21,21 @@ OBJECT_HEAD = ["Northfield", "Crescent", "Harbour", "Summit", "Ironwood",
                "Lakeside", "Meridian", "Pinnacle", "Riverton", "Stonegate"]
 OBJECT_TAIL = ["Institute", "Athletic", "Assembly", "Holdings", "Union",
                "Collective", "College", "Society", "Works", "Council"]
+
+# One question template per relation, with <subject>, <object> and
+# <direction> slots.
+QUESTIONS = {
+    "member_of_sports_team": "Which team did <subject> play for <direction> <object>?",
+    "position_held": "Which position did <subject> hold <direction> <object>?",
+    "employer": "Which employer did <subject> work for <direction> <object>?",
+    "political_party": "Which political party did <subject> belong to <direction> <object>?",
+    "head_coach": "Who was the head coach of <subject> <direction> <object>?",
+    "educated_at": "Which school was <subject> attending <direction> <object>?",
+    "chairperson": "Who was the chair of <subject> <direction> <object>?",
+    "head_of_government": "Who was the head of the government of <subject> <direction> <object>?",
+    "head_of_state": "Who was the head of the state of <subject> <direction> <object>?",
+    "owned_by": "Who was the owner of <subject> <direction> <object>?",
+}
 
 
 def make_timeline(rng: random.Random, index: int, allow_ongoing: bool = True) -> Timeline:
@@ -58,10 +72,10 @@ def make_records(timelines: list[Timeline]) -> list[dict]:
     """
     records = []
     for ti, timeline in enumerate(timelines):
-        spec = relation_spec(timeline.relation)
+        template = QUESTIONS[timeline.relation]
         for fi, fact in enumerate(timeline.facts):
             for direction in ("before", "after"):
-                question = (spec.pattern
+                question = (template
                             .replace("<subject>", timeline.subject)
                             .replace("<direction>", direction)
                             .replace("<object>", fact.object))

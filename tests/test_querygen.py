@@ -22,7 +22,7 @@ from trc_toolkit.querygen import (
     build_instance,
     subsample,
 )
-from trc_toolkit.relations import RELATIONS, RelationSpec
+from trc_toolkit.kb import RELATIONS
 from trc_toolkit.report import ENTITY_ORDER
 
 from conftest import (
@@ -31,7 +31,7 @@ from conftest import (
     PELIKAN_QUERY_ABSOLUTE,
     PELIKAN_QUERY_CHRONOLOGICAL,
 )
-from synthkb import make_dataset, make_records, make_timelines
+from synthkb import QUESTIONS, make_dataset, make_records, make_timelines
 
 
 SYNTH_AFTER_CONTEXT = (
@@ -59,14 +59,11 @@ def holt_record():
 
 
 class TestRelationSpec:
-    @pytest.mark.parametrize("pattern", [
-        "Which team did play for <direction> <object>?",
-        "Which team did <subject> play for <object>?",
-        "Which team did <subject> play for <direction> <direction> <object>?",
-    ])
-    def test_each_slot_exactly_once(self, pattern):
-        with pytest.raises(ValueError):
-            RelationSpec("r", "played for", pattern, "team")
+    def test_a_question_template_per_relation(self):
+        assert set(QUESTIONS) == set(RELATIONS)
+        for template in QUESTIONS.values():
+            for slot in ("<subject>", "<object>", "<direction>"):
+                assert template.count(slot) == 1, (template, slot)
 
     def test_entity_order_covers_every_relation(self):
         assert set(ENTITY_ORDER) == {spec.entity_type for spec in RELATIONS.values()}
