@@ -206,8 +206,10 @@ def build_dataset(records: Iterable[dict], language: str = "en",
             if instance.id in built:
                 raise DuplicateInstanceId(instance.id)
         except ToolkitError as exc:
-            # a row that did not convert has no instance id: log the id it holds
-            row_id = str(record.get("id", "")) if type(record) is dict else ""
+            # a row that did not convert has no instance id: log the id it
+            # holds, where a null id is no id, as everywhere
+            row_id = record.get("id") if type(record) is dict else None
+            row_id = "" if row_id is None else str(row_id)
             skips.append({"id": getattr(exc, "instance_id", row_id),
                           "reason": f"{type(exc).__name__}: {exc}"})
             continue

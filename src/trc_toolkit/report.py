@@ -40,9 +40,10 @@ def build_report(report: EvalReport, dataset: Sequence[BenchmarkInstance],
                  compare: Optional[EvalReport] = None) -> dict:
     """Assemble the full report document as a JSON-serializable dict."""
     dataset_entities = {inst.entity_type for inst in dataset}
-    unknown = set(report.per_entity) - dataset_entities
+    unknown = sorted(set(report.per_entity) - dataset_entities)
     if unknown:
-        raise DatasetMismatch(f"report covers entity types absent from dataset: {unknown}")
+        raise DatasetMismatch("report covers entity types absent from dataset: "
+                              + ", ".join(map(repr, unknown)))
 
     entity_rows = _entity_rows(report)
     correlations = {"entity_count_vs_trc": _safe_pearson(

@@ -26,9 +26,9 @@ _TRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
 
 
-def trc(*args, cwd=None):
+def trc(*args, cwd=None, **env):
     return subprocess.run([sys.executable, "-m", "trc_toolkit.cli", *map(str, args)],
-                          capture_output=True, text=True, cwd=cwd, env=_TRC_ENV)
+                          capture_output=True, text=True, cwd=cwd, env=dict(_TRC_ENV, **env))
 
 
 @pytest.fixture(scope="module")
@@ -263,8 +263,34 @@ class TestEvaluateAndReport:
                      "--responses", scored / "responses.jsonl",
                      "--output", scored / "eval_repeated.json")
         assert result.returncode == 1
-        assert result.stderr == f"error: dataset repeats instance id {instances[0]['id']!r}\n"
+        assert result.stderr == (f"error: {scored / 'data_repeated.jsonl'}:2: dataset repeats "
+                                 f"instance id {instances[0]['id']!r} in language 'en'\n")
         assert not (scored / "eval_repeated.json").exists()
+
+    def test_an_id_repeated_in_another_language_exits_1(self, scored):
+        # responses carry no language, so evaluate cannot tell the two apart
+        instances = list(read_jsonl(scored / "data.jsonl"))
+        write_jsonl(scored / "data_bilingual_eval.jsonl",
+                    instances + [dict(instances[1], language="fr")])
+        result = trc("evaluate", "--dataset", scored / "data_bilingual_eval.jsonl",
+                     "--responses", scored / "responses.jsonl",
+                     "--output", scored / "eval_bilingual.json")
+        assert result.returncode == 1
+        assert result.stderr == f"error: dataset repeats instance id {instances[1]['id']!r}\n"
+        assert not (scored / "eval_bilingual.json").exists()
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2", "3"])
+    def test_entity_types_absent_from_the_dataset_are_named_in_order(self, scored, hash_seed):
+        report = json.loads((scored / "eval.json").read_text())
+        report["per_entity"] = {name: [50.0, 50.0, 2] for name in ("gamma", "alpha", "beta")}
+        (scored / "eval_unknown.json").write_text(json.dumps(report))
+        result = trc("report", "--report", scored / "eval_unknown.json",
+                     "--dataset", scored / "data.jsonl", "--output", scored / "unknown",
+                     PYTHONHASHSEED=hash_seed)
+        assert result.returncode == 1
+        assert result.stderr == ("error: report covers entity types absent from dataset: "
+                                 "'alpha', 'beta', 'gamma'\n")
+        assert not list(scored.glob("unknown.*"))
 
     def test_report_file_missing_a_field_exits_1(self, scored):
         report = json.loads((scored / "eval.json").read_text())
@@ -450,8 +476,9 @@ class TestCollect:
 
 
 class TestDatasetReader:
-    """Every command that reads a dataset, `--pool` and `evaluate` aside, reads it
-    through `querygen.read_dataset`."""
+    """Every command that reads a dataset, `--pool` aside, reads it through
+    `querygen.read_dataset`; `evaluate` is tested on its own, since it also
+    refuses an id repeated in another language."""
 
     COMMANDS = {"pairs": ["--n", 1], "subsample": ["--n", 1], "export-sft": [],
                 "prompt": ["--style", "zero"], "report": ["--report", "eval.json"]}

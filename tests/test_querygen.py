@@ -288,6 +288,13 @@ class TestSyntheticBatch:
         assert skips[0]["reason"] == \
             f"MalformedRecord: field 'id' is {got}, expected string or number or null"
 
+    def test_a_null_id_is_logged_as_no_id(self):
+        # the row does not convert, so its id is not derived; it had none
+        instances, skips = build_dataset([{"id": None, "question": 5}])
+        assert instances == []
+        assert skips == [{"id": "", "reason":
+                          "MalformedRecord: field 'question' is number, expected string"}]
+
     def test_numeric_id_becomes_a_string(self, pelikan_record):
         instances, skips = build_dataset([dict(pelikan_record, id=17)])
         assert [inst.id for inst in instances] == ["17"] and skips == []
