@@ -145,7 +145,7 @@ def collect(prompts_path, endpoint, model, output, cache_dir, temperature,
 @click.option("--output", required=True, type=click.Path())
 def evaluate_cmd(dataset, responses, output):
     """Score collected responses against the dataset."""
-    instances = querygen.read_dataset(dataset)
+    instances = querygen.read_dataset(dataset, across_languages=True)
     report = evaluate(instances, pair_responses(read_jsonl(responses, Response)))
     write_json(output, report.to_dict())
     _finish({}, [dataset, responses], [output],

@@ -22,6 +22,8 @@ import time
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 from urllib.parse import urlsplit
@@ -84,15 +86,25 @@ class CacheEntry(JsonRecord):
     latency: float = 0.0
 
 
-def request_body(model_name: str, prompt: str, temperature: float,
-                 max_new_tokens: int) -> bytes:
-    """The JSON body POSTed for one prompt."""
-    return json.dumps({
+@lru_cache(maxsize=16, typed=True)  # typed: 0 and 0.0 are equal keys but dump as 0 and 0.0
+def _body_frame(model_name: str, temperature: float, max_new_tokens: int) -> tuple[str, str]:
+    """The request body's text before and after the prompt, split at its empty
+    content: the last `""` of the dump, since only numbers and brackets follow it."""
+    head, _, tail = json.dumps({
         "model": model_name,
-        "messages": [{"role": "user", "content": prompt}],
+        "messages": [{"role": "user", "content": ""}],
         "temperature": temperature,
         "max_tokens": max_new_tokens,
-    }).encode("utf-8")
+    }).rpartition('""')
+    return head, tail
+
+
+def request_body(model_name: str, prompt: str, temperature: float,
+                 max_new_tokens: int) -> bytes:
+    """The JSON body POSTed for one prompt: `json.dumps` of the request, byte for
+    byte, with the prompt escaped as `json.dumps` escapes it (ASCII only)."""
+    head, tail = _body_frame(model_name, temperature, max_new_tokens)
+    return (head + encode_basestring_ascii(prompt) + tail).encode("utf-8")
 
 
 def prompt_hash(model_name: str, prompt: str,

@@ -54,6 +54,8 @@ RELATIONS: dict[str, RelationSpec] = {s.relation: s for s in _SPECS}
 
 def normalize_relation(relation: str) -> str:
     """Accept both "member of sports team" and "member_of_sports_team" forms."""
+    if relation in RELATIONS:   # a name is a fixed point of the rule below
+        return relation
     key = relation.strip().lower().replace(" ", "_")
     if key not in RELATIONS:
         raise MalformedRecord(f"unknown relation {relation!r}")

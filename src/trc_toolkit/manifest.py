@@ -16,14 +16,29 @@ import types
 from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from functools import cache
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Union, get_args, get_origin, get_type_hints
 
 from .errors import MalformedRecord
 
-# `json.dumps` with a keyword argument builds a new encoder per call; every
-# JSONL row (outputs and the response cache) goes through this one instead.
-encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+def _row_encoder():
+    """`JSONEncoder(ensure_ascii=False).encode` builds a C encoder on every call.
+    This builds one, with the arguments that a one-shot `encode` passes, less the
+    cycle check (a row is a tree). Without the `_json` accelerator it is that
+    `encode`, whose text is the same."""
+    if c_make_encoder is None:
+        return json.JSONEncoder(ensure_ascii=False).encode
+    options = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+    encode = c_make_encoder(None, options.default, encode_basestring, options.indent,
+                            options.key_separator, options.item_separator,
+                            options.sort_keys, options.skipkeys, options.allow_nan)
+    return lambda value: "".join(encode(value, 0))
+
+
+# Every JSONL row (outputs and the response cache) is written through this one.
+encode_json = _row_encoder()
 
 
 def _reject_constant(name: str):
@@ -60,11 +75,14 @@ def json_type(value) -> str:
 
 
 @cache  # resolved once per class; datasets convert record by record
-def _fields(cls) -> dict[str, tuple[tuple[type, ...], str, object]]:
-    """Each field's name -> (accepted value types, their JSON names, default).
-    A float takes an int too; an annotation without a JSON type raises TypeError."""
-    hints, out = get_type_hints(cls), {}
+def _fields(cls) -> tuple[tuple[str, tuple[type, ...], str, object], ...]:
+    """Each field's (name, accepted value types, their JSON names, default), in
+    field order. A float takes an int too. An annotation without a JSON type, or
+    a field that `cls(*values)` cannot fill (init=False, kw_only), raises TypeError."""
+    hints, out = get_type_hints(cls), []
     for f in fields(cls):
+        if not f.init or f.kw_only:
+            raise TypeError(f"{cls.__name__}.{f.name}: not a positional __init__ field")
         hint = hints[f.name]
         members = get_args(hint) if get_origin(hint) in (Union, types.UnionType) else (hint,)
         accepted, names = [], []
@@ -74,15 +92,15 @@ def _fields(cls) -> dict[str, tuple[tuple[type, ...], str, object]]:
                 raise TypeError(f"{cls.__name__}.{f.name}: {member!r} has no JSON type")
             accepted += [base, int] if base is float else [base]
             names.append("integer" if base is int else _JSON_TYPES[base])
-        out[f.name] = tuple(accepted), " or ".join(dict.fromkeys(names)), f.default
-    return out
+        out.append((f.name, tuple(accepted), " or ".join(dict.fromkeys(names)), f.default))
+    return tuple(out)
 
 
 class JsonRecord:
     """Base for dataclasses stored as one JSON object, keys in field order."""
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _fields(type(self))}
+        return {name: getattr(self, name) for name, _, _, _ in _fields(type(self))}
 
     @classmethod
     def from_dict(cls, record):
@@ -90,17 +108,17 @@ class JsonRecord:
         none, a row that is not an object or a value of another JSON type: MalformedRecord."""
         if type(record) is not dict:
             raise MalformedRecord(f"row is {json_type(record)}, expected object")
-        values = {}
-        for name, (accepted, expected, default) in _fields(cls).items():
-            if name not in record:
+        values = []
+        for name, accepted, expected, default in _fields(cls):
+            value = record.get(name, MISSING)
+            if value is MISSING:
                 if default is MISSING:
                     raise MalformedRecord(f"field {name!r} is missing")
-                values[name] = default
-            elif type(value := record[name]) not in accepted:
+                value = default
+            elif type(value) not in accepted:
                 raise MalformedRecord(f"field {name!r} is {json_type(value)}, expected {expected}")
-            else:
-                values[name] = value
-        return cls(**values)
+            values.append(value)
+        return cls(*values)
 
 
 def read_jsonl(path: str | Path, cls: type[JsonRecord] | None = None, *,

@@ -23,8 +23,7 @@ from .errors import (
     SlotUnresolved,
     ToolkitError,
 )
-from .kb import (BEFORE, TemporalFact, neighbor_fact, normalize_relation,
-                 parse_fact_context, relation_spec)
+from .kb import BEFORE, neighbor_fact, normalize_relation, parse_fact_context, relation_spec
 from .manifest import JsonRecord, read_jsonl, row_line
 
 
@@ -112,7 +111,7 @@ def build_instance(record: dict, language: str = "en", *,
 
     The row is read as a `SourceRecord` (MalformedRecord). Past that, every
     toolkit error carries the instance id. `_timelines` is `build_dataset`'s
-    memo of the fact contexts it parsed.
+    memo of the fact contexts it parsed, each with its normalised text.
     """
     source = SourceRecord.from_dict(record)
     instance_id = _derive_id(source) if source.id in (None, "") else str(source.id)
@@ -130,11 +129,10 @@ def _derive_id(source: SourceRecord) -> str:
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
 
 
-def _pathway(anchor: TemporalFact, direction: str, reference: str,
-             answer_fact: TemporalFact) -> str:
-    """One rationale sentence, lowercased: the anchor fact, then its neighbour."""
-    return (f"because {anchor.sentence()}, and right {direction} {reference}, "
-            f"{answer_fact.sentence(with_times=False)}.").lower()
+def _pathway(anchor: str, direction: str, reference: str, neighbour: str) -> str:
+    """One rationale sentence, lowercased: the anchor fact's sentence, then its
+    neighbour's (without times)."""
+    return f"because {anchor}, and right {direction} {reference}, {neighbour}.".lower()
 
 
 def _build_instance(source: SourceRecord, instance_id: str, language: str,
@@ -143,8 +141,8 @@ def _build_instance(source: SourceRecord, instance_id: str, language: str,
     subject = source.subject.strip()
     key = (source.fact_context, subject, relation)
     if key not in timelines:   # a context that fails to parse is not kept
-        timelines[key] = parse_fact_context(*key)
-    timeline = timelines[key]
+        timelines[key] = parse_fact_context(*key), " ".join(source.fact_context.split())
+    timeline, fact_context = timelines[key]
 
     # The chronological query always reads "right before/after <event>".
     question = source.question.strip()
@@ -170,6 +168,7 @@ def _build_instance(source: SourceRecord, instance_id: str, language: str,
 
     # The absolute query swaps the event for its boundary time ("January 1949").
     boundary = (anchor.start if direction == BEFORE else anchor.end).format()
+    anchor_text, neighbour_text = anchor.sentence(), answer_fact.sentence(with_times=False)
     return BenchmarkInstance(
         id=instance_id,
         language=language,
@@ -179,9 +178,9 @@ def _build_instance(source: SourceRecord, instance_id: str, language: str,
         query_absolute=prefix + suffix.replace(reference, boundary, 1),
         query_chronological=query_chronological,
         answer=answer,
-        pathway_time_oriented=_pathway(anchor, direction, boundary, answer_fact),
-        pathway_event_oriented=_pathway(anchor, direction, anchor.object, answer_fact),
-        fact_context=" ".join(source.fact_context.split()),
+        pathway_time_oriented=_pathway(anchor_text, direction, boundary, neighbour_text),
+        pathway_event_oriented=_pathway(anchor_text, direction, anchor.object, neighbour_text),
+        fact_context=fact_context,
     )
 
 
@@ -218,17 +217,20 @@ def build_dataset(records: Iterable[dict], language: str = "en",
     return instances, skips
 
 
-def read_dataset(path: str) -> list[BenchmarkInstance]:
+def read_dataset(path: str, *, across_languages: bool = False) -> list[BenchmarkInstance]:
     """The instances of a dataset file. A repeated (id, language) is refused,
-    naming its line, since a command would prompt, export or sample it twice."""
+    naming its line, since a command would prompt, export or sample it twice.
+    With `across_languages`, so is one id in two languages: `evaluate` needs
+    that, as a response names no language."""
     instances: list[BenchmarkInstance] = []
-    seen: set[tuple[str, str]] = set()
+    languages: dict[str, set[str]] = {}   # each id's languages so far
     for inst in read_jsonl(path, BenchmarkInstance):
-        if (inst.id, inst.language) in seen:
+        held = languages.setdefault(inst.id, set())
+        if inst.language in held or (across_languages and held):
+            scope = f" in language {inst.language!r}" if inst.language in held else ""
             raise DuplicateInstanceId(inst.id, f"{path}:{row_line(path, len(instances))}: "
-                                      f"dataset repeats instance id {inst.id!r} "
-                                      f"in language {inst.language!r}")
-        seen.add((inst.id, inst.language))
+                                      f"dataset repeats instance id {inst.id!r}{scope}")
+        held.add(inst.language)
         instances.append(inst)
     return instances
 

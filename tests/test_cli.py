@@ -276,7 +276,10 @@ class TestEvaluateAndReport:
                      "--responses", scored / "responses.jsonl",
                      "--output", scored / "eval_bilingual.json")
         assert result.returncode == 1
-        assert result.stderr == f"error: dataset repeats instance id {instances[1]['id']!r}\n"
+        # the second row of the id is the last one, after every instance once
+        assert result.stderr == (f"error: {scored / 'data_bilingual_eval.jsonl'}:"
+                                 f"{len(instances) + 1}: dataset repeats "
+                                 f"instance id {instances[1]['id']!r}\n")
         assert not (scored / "eval_bilingual.json").exists()
 
     @pytest.mark.parametrize("hash_seed", ["0", "1", "2", "3"])

@@ -13,6 +13,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trc_toolkit
 from trc_toolkit.client import (
@@ -24,6 +26,7 @@ from trc_toolkit.client import (
     collect_responses,
     extract_answer,
     prompt_hash,
+    request_body,
 )
 from trc_toolkit.errors import AuthFailure
 from trc_toolkit.prompting import (STYLE_KINDS, DemoPool, PromptStyle, render_prompt,
@@ -633,6 +636,28 @@ class TestPromptHash:
 
     def test_deterministic(self):
         assert prompt_hash("m", "p") == prompt_hash("m", "p")
+
+    # Any code point, lone surrogates included (`st.text()` leaves them out).
+    ANY_TEXT = st.text(st.characters(exclude_categories=()))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(model=ANY_TEXT, prompt=ANY_TEXT,
+           temperature=st.integers(min_value=0) | st.floats(min_value=0, allow_infinity=False),
+           max_new_tokens=st.integers(min_value=1))
+    # 0 and 0.0 are one key to an untyped cache, but `json.dumps` writes 0 and 0.0
+    @example(model="m", prompt="p", temperature=0, max_new_tokens=30)
+    @example(model="m", prompt="p", temperature=0.0, max_new_tokens=30)
+    @example(model='m", "content": "', prompt='"content": ""', temperature=1, max_new_tokens=1)
+    @example(model='"content": ""', prompt='\\"\ud800 \U0001f600 é', temperature=0.7,
+             max_new_tokens=2 ** 70)
+    def test_body_is_json_dumps_of_the_request(self, model, prompt, temperature,
+                                               max_new_tokens):
+        assert request_body(model, prompt, temperature, max_new_tokens) == json.dumps({
+            "model": model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": temperature,
+            "max_tokens": max_new_tokens,
+        }).encode("utf-8")
 
 
 def _prompt(kind, instance):

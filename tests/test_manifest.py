@@ -4,16 +4,20 @@ and `from_dict` checks each value's JSON type against the annotation."""
 import ast
 import json
 import re
-from dataclasses import dataclass
+import types
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trc_toolkit
 from trc_toolkit.client import CacheEntry, CompletionRecord
 from trc_toolkit.errors import MalformedRecord
-from trc_toolkit.manifest import (JsonRecord, _fields, encode_json, read_json, read_jsonl,
-                                  read_lines, row_line)
+from trc_toolkit.manifest import (_JSON_TYPES, JsonRecord, _fields, encode_json, json_type,
+                                  read_json, read_jsonl, read_lines, row_line)
 from trc_toolkit.metrics import EvalReport, Response
 from trc_toolkit.prompting import PromptRow, SftRecord
 from trc_toolkit.querygen import BenchmarkInstance, ConsistencyPair, SourceRecord
@@ -59,6 +63,116 @@ def test_annotation_without_a_json_type_is_refused():
 
     with pytest.raises(TypeError, match="Tagged.tags"):
         _fields(Tagged)
+
+
+@pytest.mark.parametrize("init", [dict(init=False, default=""), dict(kw_only=True)],
+                         ids=["init-false", "kw-only"])
+def test_a_field_that_init_cannot_take_in_order_is_refused(init):
+    @dataclass
+    class Derived(JsonRecord):
+        text: str
+        note: str = field(**init)
+
+    with pytest.raises(TypeError, match="Derived.note"):
+        _fields(Derived)
+
+
+def _reference_table(cls) -> dict:
+    """The converter's reference: name -> (accepted types, JSON names, default),
+    resolved as the record rule resolves annotations."""
+    hints, out = get_type_hints(cls), {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        members = get_args(hint) if get_origin(hint) in (Union, types.UnionType) else (hint,)
+        accepted, names = [], []
+        for member in members:
+            base = get_origin(member) or member
+            accepted += [base, int] if base is float else [base]
+            names.append("integer" if base is int else _JSON_TYPES[base])
+        out[f.name] = tuple(accepted), " or ".join(dict.fromkeys(names)), f.default
+    return out
+
+
+def _reference_from_dict(cls, record):
+    """The generic loop `from_dict` replaced: a keyword per field."""
+    if type(record) is not dict:
+        raise MalformedRecord(f"row is {json_type(record)}, expected object")
+    values = {}
+    for name, (accepted, expected, default) in _reference_table(cls).items():
+        if name not in record:
+            if default is MISSING:
+                raise MalformedRecord(f"field {name!r} is missing")
+            values[name] = default
+        elif type(value := record[name]) not in accepted:
+            raise MalformedRecord(f"field {name!r} is {json_type(value)}, expected {expected}")
+        else:
+            values[name] = value
+    return cls(**values)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+# A value of each accepted Python type. A string is a reference kind half the
+# time, and a dict holds breakdown-like rows half the time, so that rows of
+# `PromptRow`, `Response` and `EvalReport` convert too.
+TYPED = {str: st.sampled_from(["absolute", "chronological"]) | st.text(max_size=8),
+         int: st.integers(), bool: st.booleans(), type(None): st.none(),
+         float: st.floats(allow_nan=False, allow_infinity=False),
+         list: st.lists(JSON_VALUES, max_size=3),
+         dict: st.dictionaries(st.text(max_size=4),
+                               st.tuples(st.floats(0, 100), st.floats(0, 100),
+                                         st.integers(0, 9)).map(list) | JSON_VALUES,
+                               max_size=2)}
+
+
+@st.composite
+def _rows(draw, cls):
+    """A well-typed row of `cls`, with up to two fields dropped or given any JSON
+    value, and extra keys; or, one time in ten, any JSON value at all."""
+    if not draw(st.integers(0, 9)):
+        return draw(JSON_VALUES)
+    table = _reference_table(cls)
+    row = {name: draw(st.one_of(*[TYPED[t] for t in dict.fromkeys(accepted)]))
+           for name, (accepted, _, _) in table.items()}
+    for name in draw(st.lists(st.sampled_from(list(table)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del row[name]
+        else:
+            row[name] = draw(JSON_VALUES)
+    return {**draw(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2)), **row}
+
+
+def _outcome(convert, cls, row):
+    try:
+        return "record", convert(cls, row)
+    except (MalformedRecord, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("cls", JsonRecord.__subclasses__(), ids=lambda cls: cls.__name__)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_from_dict_matches_the_keyword_loop(cls, data):
+    """Equal record or identical error text, whatever the row."""
+    row = data.draw(_rows(cls))
+    assert _outcome(lambda cls, row: cls.from_dict(row), cls, row) == \
+        _outcome(_reference_from_dict, cls, row)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+    | st.floats() | st.sampled_from([1e308, -1.7976931348623157e308, 5e-324])
+    | st.text(st.characters(exclude_categories=())),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.characters(exclude_categories=())), inner, max_size=4),
+    max_leaves=12))
+def test_encode_json_writes_what_a_one_shot_encoder_writes(value):
+    assert encode_json(value) == json.JSONEncoder(ensure_ascii=False).encode(value)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -175,6 +289,43 @@ def test_only_the_record_rule_decodes_and_key_error_is_no_input_signal():
     stray = {item for item in found - body_parse
              if item[0] != "manifest.py" or item[2] != "json.loads"}
     assert not stray
+
+
+def _encoder_builds(source: str) -> set[tuple[str | None, str]]:
+    """(enclosing function, called name) for each call in `source` that builds
+    a JSON encoder: `json.dumps`, `JSONEncoder(...)` or `c_make_encoder(...)`."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            called = node.func.attr if isinstance(node.func, ast.Attribute) else \
+                getattr(node.func, "id", None)
+            if called in ("dumps", "JSONEncoder", "c_make_encoder"):
+                found.add((function, called))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_no_per_row_path_builds_a_json_encoder():
+    """Rows go through `encode_json` and request bodies through the frame cache;
+    only whole documents (and the two builders) may call `json.dumps`."""
+    package = Path(trc_toolkit.__file__).parent
+    found = {(path.name, function, called)
+             for path in sorted(package.glob("*.py"))
+             for function, called in _encoder_builds(path.read_text("utf-8"))}
+    assert found == {
+        ("client.py", "_body_frame", "dumps"),        # once per settings
+        ("manifest.py", "_row_encoder", "JSONEncoder"),   # once, at import
+        ("manifest.py", "_row_encoder", "c_make_encoder"),
+        ("manifest.py", "write_json", "dumps"),       # one document per file
+        ("manifest.py", "write_manifest", "dumps"),
+        ("cli.py", "mt_agree", "dumps"),              # the one line it echoes
+    }
 
 
 # Modules of the HTTP and TLS stack; `urllib.parse` is not one of them.
