@@ -187,6 +187,10 @@ def mt_agree(hypothesis, reference, expected_lang, profiles, output):
     """Translation agreement summary: mean chrF++, mean BLEU-3, optional TSR."""
     if profiles and not expected_lang:
         _fail("--profile needs --expected-lang")
+    specs = [spec.partition("=") for spec in profiles]   # every spec, before any file
+    for spec, (_, _, corpus) in zip(profiles, specs):
+        if not corpus:
+            _fail(f"--profile must be LANG=CORPUS, got {spec!r}")
     hyp_lines = read_lines(hypothesis)
     ref_lines = read_lines(reference)
     if len(hyp_lines) != len(ref_lines):
@@ -196,27 +200,12 @@ def mt_agree(hypothesis, reference, expected_lang, profiles, output):
     for n, (hyp, ref) in enumerate(zip(hyp_lines, ref_lines), 1):
         if not hyp.strip() and not ref.strip():  # chrF++ would score it 100, BLEU-3 0
             _fail(f"blank line pair at {hypothesis}:{n} and {reference}:{n}")
-    chrf_scores = [translation.chrf_pp(h, r) for h, r in zip(hyp_lines, ref_lines)]
-    bleu_scores = [translation.bleu_n(h, r) for h, r in zip(hyp_lines, ref_lines)]
-    summary = {
-        "chrf_pp_mean": round(sum(chrf_scores) / len(chrf_scores), 2),
-        "bleu_n_mean": round(sum(bleu_scores) / len(bleu_scores), 4),
-        "tsr": None,
-    }
-    inputs = [hypothesis, reference]
-    if expected_lang:
-        lang_profiles = []
-        for spec in profiles:
-            lang, _, corpus = spec.partition("=")
-            if not corpus:
-                _fail(f"--profile must be LANG=CORPUS, got {spec!r}")
-            lang_profiles.append(translation.LanguageProfile.from_corpus(lang, read_lines(corpus)))
-            inputs.append(corpus)
-        summary["tsr"] = round(translation.translation_success_rate(
-            hyp_lines, expected_lang, lang_profiles), 2)
+    lang_profiles = [translation.LanguageProfile.from_corpus(lang, read_lines(corpus))
+                     for lang, _, corpus in specs]
+    summary = translation.agreement(hyp_lines, ref_lines, expected_lang, lang_profiles)
     write_json(output, summary)
-    _finish({"expected_lang": expected_lang}, inputs, [output],
-            json.dumps(summary))
+    _finish({"expected_lang": expected_lang}, [hypothesis, reference] + [c for _, _, c in specs],
+            [output], json.dumps(summary))
 
 
 @main.command()

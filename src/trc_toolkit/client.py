@@ -16,7 +16,6 @@ import json
 import math
 import os
 import random
-import re
 import threading
 import time
 from collections import deque
@@ -29,13 +28,11 @@ from typing import Optional, Sequence, TextIO
 from urllib.parse import urlsplit
 
 from .manifest import JsonRecord, encode_json, read_jsonl
-from .prompting import REASONING
+from .prompting import extract_answer
 
 PARALLELISM_CAP = 16
 API_KEY_ENV = "TRC_API_KEY"
 RETRY_WAIT_CAP = 60.0  # seconds: the longest wait before a retry, whatever the server asks
-
-_ANSWER_MARKER = re.compile(r"(?i)\banswer\s*[:：]")
 
 
 @dataclass(frozen=True)
@@ -114,20 +111,6 @@ def prompt_hash(model_name: str, prompt: str,
     requests that differ in any generation setting never share an entry."""
     return hashlib.sha256(request_body(model_name, prompt, temperature,
                                        max_new_tokens)).hexdigest()
-
-
-def extract_answer(raw_completion: str, prompt: str) -> str:
-    """The first line of the completion or, for a prompt whose demos show a
-    reasoning line, of the text after its last `Answer:` (else its last line),
-    once a leading `Answer:` label is dropped, whatever the style; "" if empty."""
-    text = raw_completion.strip()
-    if "\n" + REASONING in prompt:  # a reasoning line follows its demo's question
-        matches = list(_ANSWER_MARKER.finditer(text))
-        tail = text[matches[-1].end():].strip() if matches else ""
-        text = tail or (text.splitlines() or [""])[-1]
-    label = _ANSWER_MARKER.match(text)
-    lines = (text[label.end():].strip() if label else text).splitlines()
-    return lines[0].strip() if lines else ""
 
 
 class ResponseCache:

@@ -106,6 +106,10 @@ class DuplicateResponse(ToolkitError):
     pass
 
 
+class MixedModels(ToolkitError):
+    pass
+
+
 # --- translation metrics ---
 
 class ProfileMissing(ToolkitError):

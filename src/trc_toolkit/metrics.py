@@ -20,6 +20,7 @@ from .errors import (
     LengthMismatch,
     MalformedRecord,
     MissingGold,
+    MixedModels,
     UnknownInstanceId,
     ZeroVariance,
 )
@@ -83,11 +84,12 @@ class ResponsePair:
 
 @dataclass
 class Response(JsonRecord):
-    """The fields of a response row that `evaluate` reads."""
+    """The fields of a response row that `evaluate` reads; no model name reads as ""."""
     instance_id: str
     reference_kind: str
     answer: str
     error: str | None = None
+    model_name: str = ""
 
     def __post_init__(self):
         check_reference_kind(self.reference_kind)
@@ -97,11 +99,18 @@ def pair_responses(responses: Iterable[Response]) -> list[ResponsePair]:
     """Pair each instance's two arms; a response with an error is no answer.
 
     A second response for one (instance id, reference kind) is rejected,
-    since nothing tells which of the two to score.
+    since nothing tells which of the two to score. So is a second model name:
+    the arms of two models would be scored as one model's.
     """
     seen: set[tuple[str, str]] = set()
     arms: dict[str, dict[str, str]] = {}
+    model = None   # the first row's
     for response in responses:
+        if model is None:
+            model = response.model_name
+        elif response.model_name != model:
+            raise MixedModels(f"responses from two models, {model!r} and "
+                              f"{response.model_name!r}, at instance {response.instance_id!r}")
         key = (response.instance_id, response.reference_kind)
         if key in seen:
             raise DuplicateResponse(f"second {key[1]} response for instance {key[0]!r}")

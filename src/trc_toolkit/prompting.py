@@ -1,4 +1,4 @@
-"""Prompt rendering and instruction-tuning export.
+"""Prompt rendering, answer reading and instruction-tuning export.
 
 Demonstration selection for the "semantic" styles uses IDF-weighted cosine
 similarity over bag-of-words vectors: deterministic and dependency-free.
@@ -23,6 +23,7 @@ from .querygen import BenchmarkInstance, check_reference_kind
 STYLE_KINDS = ("zero", "icl", "semantic-icl", "semantic-cot")  # the `--style` words
 PAIRINGS = ("cross", "unilateral")  # the `--pairing` words
 REASONING = "Reasoning: "  # the label of a semantic-cot demo's reasoning; no other style has it
+_ANSWER_MARKER = re.compile(r"(?i)\banswer\s*[:：]")  # an "Answer:" label, any case or colon
 
 # The one instruction every SFT record carries (UnTRaP trains from it).
 INSTRUCTION = (
@@ -90,10 +91,8 @@ class IdfIndex:
     def __init__(self, docs: list[Counter]):
         self.docs = docs
         self.n_docs = len(docs)
-        self.df: Counter = Counter()
-        self.postings: dict[str, list[tuple[int, int]]] = {}   # term -> (pos, count)
+        self.postings: dict[str, list[tuple[int, int]]] = {}   # term -> (pos, count); len: df
         for pos, doc in enumerate(docs):
-            self.df.update(doc.keys())
             for term, count in doc.items():
                 self.postings.setdefault(term, []).append((pos, count))
         # n -> (idf of every term, each document's norm under it)
@@ -108,7 +107,7 @@ class IdfIndex:
         return math.log((1 + n) / (1 + df)) + 1.0
 
     def _df(self, term: str, skip: Sequence[int]) -> int:
-        return self.df[term] - sum(term in self.docs[pos] for pos in skip)
+        return len(self.postings.get(term, ())) - sum(term in self.docs[pos] for pos in skip)
 
     def _base(self, n: int) -> tuple[dict[str, float], list[float]]:
         """IDF over n documents with nothing skipped, and every norm under it.
@@ -117,7 +116,7 @@ class IdfIndex:
         the caller replaces; capping it keeps every base weight >= 1.
         """
         if n not in self._bases:
-            table = {t: self._weight(n, min(c, n)) for t, c in self.df.items()}
+            table = {t: self._weight(n, min(len(p), n)) for t, p in self.postings.items()}
             norms = [math.sqrt(sum([v * v for v in [c * table[t] for t, c in doc.items()]]))
                      for doc in self.docs]
             self._bases[n] = table, norms
@@ -277,6 +276,20 @@ def render_prompt(query: str, demos: list[BenchmarkInstance],
         blocks.append("\n".join(lines))
     blocks.append(f"Question: {query}\nAnswer:")
     return "\n\n".join(blocks)
+
+
+def extract_answer(raw_completion: str, prompt: str) -> str:
+    """The first line of the completion or, for a prompt whose demos show a
+    reasoning line, of the text after its last `Answer:` (else its last line),
+    once a leading `Answer:` label is dropped, whatever the style; "" if empty."""
+    text = raw_completion.strip()
+    if "\n" + REASONING in prompt:  # a reasoning line follows its demo's question
+        matches = list(_ANSWER_MARKER.finditer(text))
+        tail = text[matches[-1].end():].strip() if matches else ""
+        text = tail or (text.splitlines() or [""])[-1]
+    label = _ANSWER_MARKER.match(text)
+    lines = (text[label.end():].strip() if label else text).splitlines()
+    return lines[0].strip() if lines else ""
 
 
 def render_rows(targets: Sequence[BenchmarkInstance], pool: Iterable[BenchmarkInstance],

@@ -1,5 +1,5 @@
-"""String-based translation quality metrics: chrF++, BLEU-n, and a
-trigram-profile language detector backing the translation success rate.
+"""String-based translation quality metrics: chrF++, BLEU-n, a trigram-profile
+language detector backing the translation success rate, and their `agreement`.
 """
 
 from __future__ import annotations
@@ -197,3 +197,17 @@ def translation_success_rate(texts: Sequence[str], expected: str,
         raise EmptyInput("no texts to classify")
     hits = sum(detect_language(t, profiles) == expected for t in texts)
     return 100 * hits / len(texts)
+
+
+def agreement(hypotheses: Sequence[str], references: Sequence[str], expected: str | None = None,
+              profiles: Sequence[LanguageProfile] = ()) -> dict:
+    """The `mt.json` summary: mean chrF++ (2 decimals), BLEU-3 (4) and TSR (2; None with no
+    `expected` or profiles). TSR goes first: it refuses a bad profile before a pair is scored."""
+    tsr = round(translation_success_rate(hypotheses, expected, profiles), 2) \
+        if expected or profiles else None
+    scores = [(chrf_pp(h, r), bleu_n(h, r)) for h, r in zip(hypotheses, references, strict=True)]
+    if not scores:
+        raise EmptyInput("no line pairs to score")
+    chrf_scores, bleu_scores = zip(*scores)
+    return {"chrf_pp_mean": round(sum(chrf_scores) / len(scores), 2),
+            "bleu_n_mean": round(sum(bleu_scores) / len(scores), 4), "tsr": tsr}

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from trc_toolkit import cli
-from trc_toolkit.client import EndpointConfig, ResponseCache, collect_responses
-from trc_toolkit.manifest import read_jsonl
+from trc_toolkit.client import EndpointConfig, ResponseCache, collect_responses, prompt_hash
+from trc_toolkit.manifest import read_jsonl, write_jsonl
 from trc_toolkit.prompting import PromptRow
 
 from test_client import MockEndpoint
@@ -112,3 +112,41 @@ def test_offline_warm_prefill_is_all_hits_for_collect(bench, tmp_path, monkeypat
         endpoint.close()
     assert endpoint.requests == 0
     assert len(records) == 80 and all(r.error is None for r in records)
+
+
+def test_traced_counts_see_every_metric_and_answer_call(bench, tmp_path, monkeypatch):
+    """Under the tracer, `trc mt-agree` on N line pairs records N chrF++ and N
+    BLEU-3 calls, and a warm `trc collect` on M rows M answer reads. A metric or
+    reader bound where the tracer cannot replace it (a default argument, say)
+    would drop out of the per-layer trend, and this fails instead."""
+    _, tracer = bench
+    import worker
+    monkeypatch.chdir(tmp_path)
+    n_pairs, prompts = 5, [f"Question: who came before {k}?\nAnswer:" for k in range(7)]
+    for name, lines in [("hyp.txt", [f"the report number {k}" for k in range(n_pairs)]),
+                        ("ref.txt", [f"a report number {k}" for k in range(n_pairs)]),
+                        ("en.txt", ["she walked through the town"]),
+                        ("fr.txt", ["elle a traverse la ville"])]:
+        Path(name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_jsonl("prompts.jsonl", [PromptRow(f"i{k}", "absolute", p).to_dict()
+                                  for k, p in enumerate(prompts)])
+    with ResponseCache("cache") as cache:
+        for prompt in prompts:
+            key = prompt_hash("m", prompt)
+            cache.put(key, {"prompt_hash": key, "raw_completion": "x", "latency": 0.0})
+    t = tracer.Tracer()
+    try:
+        tracer.instrument(t)
+        codes = [worker.run_cli(["mt-agree", "--hypothesis", "hyp.txt", "--reference", "ref.txt",
+                                 "--expected-lang", "en", "--profile", "en=en.txt",
+                                 "--profile", "fr=fr.txt", "--output", "mt.json"]),
+                 # port 9 is never dialled: every prompt hits the cache
+                 worker.run_cli(["collect", "--prompts", "prompts.jsonl", "--endpoint",
+                                 "http://127.0.0.1:9/v1", "--model", "m", "--cache-dir", "cache",
+                                 "--output", "responses.jsonl"])]
+    finally:
+        left = t.remove()
+    assert left == [] and codes == [0, 0]
+    assert (t.calls("translation.chrf_pp"), t.calls("translation.bleu_n")) == (n_pairs, n_pairs)
+    assert t.calls("translation.translation_success_rate") == 1
+    assert t.calls("client.extract_answer") == len(prompts)

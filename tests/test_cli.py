@@ -12,7 +12,7 @@ import click
 import pytest
 
 import trc_toolkit
-from trc_toolkit import cli, prompting, querygen
+from trc_toolkit import cli, prompting, querygen, translation
 from trc_toolkit.manifest import read_jsonl, write_jsonl
 from trc_toolkit.translation import chrf_pp
 
@@ -222,6 +222,23 @@ class TestEvaluateAndReport:
         assert report["em_atr"] == report["em_ctr"] == report["trcf"] == 100.0
         assert result.stdout == (f"scored {len(instances) - 2} pairs -> "
                                  f"{workspace / 'eval_errored.json'}\n")
+
+    def test_two_models_in_one_responses_file_exit_1(self, workspace):
+        # model A answered every absolute arm and model B every chronological one
+        instances = list(read_jsonl(workspace / "data.jsonl"))
+        responses = [{"instance_id": inst["id"], "reference_kind": kind,
+                      "answer": inst["answer"], "raw_completion": inst["answer"],
+                      "model_name": model, "error": None}
+                     for inst in instances
+                     for kind, model in (("absolute", "model-a"), ("chronological", "model-b"))]
+        write_jsonl(workspace / "two_models.jsonl", responses)
+        result = trc("evaluate", "--dataset", workspace / "data.jsonl",
+                     "--responses", workspace / "two_models.jsonl",
+                     "--output", workspace / "eval_two_models.json")
+        assert result.returncode == 1
+        assert result.stderr == ("error: responses from two models, 'model-a' and 'model-b', "
+                                 f"at instance {instances[0]['id']!r}\n")
+        assert not (workspace / "eval_two_models.json").exists()
 
     def test_duplicate_response_rows_exit_1(self, workspace):
         instances = list(read_jsonl(workspace / "data.jsonl"))
@@ -617,6 +634,53 @@ class TestMtAgree:
         assert result.returncode == 0, result.stderr
         summary = json.loads((tmp_path / "mt.json").read_text())
         assert summary["chrf_pp_mean"] == 0 and summary["bleu_n_mean"] == 0
+
+    # Each refusal's message is the one `trc` gave when it scored every pair first.
+    REFUSALS = {
+        "malformed-profile": (["en"], "--profile must be LANG=CORPUS, got 'en'"),
+        "no-expected-profile": (["fr=fr.txt", "ro=ro.txt"],
+                                "no profile for expected language 'en'"),
+        "one-language": (["en=en.txt"], "need at least one alternative language profile"),
+        "empty-corpus": (["en=en.txt", "fr=empty.txt"], "no trigrams in corpus for 'fr'"),
+    }
+
+    @pytest.mark.parametrize("refusal", REFUSALS)
+    def test_a_profile_problem_is_refused_before_any_pair_is_scored(
+            self, tmp_path, monkeypatch, capsys, refusal):
+        specs, message = self.REFUSALS[refusal]
+        for name, text in [("hyp.txt", "the committee approved the report\nshe walked\n"),
+                           ("ref.txt", "the committee approved a report\nshe walked home\n"),
+                           ("en.txt", "she walked through the town\n"),
+                           ("fr.txt", "elle a traverse la ville\n"),
+                           ("ro.txt", "ea a traversat orasul\n"), ("empty.txt", "")]:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        scored, chrf_pp = [], translation.chrf_pp
+
+        def counted(hyp, ref):
+            scored.append(hyp)
+            return chrf_pp(hyp, ref)
+
+        monkeypatch.setattr(translation, "chrf_pp", counted)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", [
+            "trc", "mt-agree", "--hypothesis", "hyp.txt", "--reference", "ref.txt",
+            "--expected-lang", "en", *[a for spec in specs for a in ("--profile", spec)],
+            "--output", "mt.json"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert scored == []
+        assert not (tmp_path / "mt.json").exists()
+
+    def test_every_profile_spec_is_checked_before_any_file_is_read(self, tmp_path):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("le café noir\n".encode("latin-1"))
+        result = trc("mt-agree", "--hypothesis", latin1, "--reference", latin1,
+                     "--expected-lang", "fr", "--profile", f"fr={tmp_path / 'missing.txt'}",
+                     "--profile", "en", "--output", tmp_path / "mt.json")
+        assert result.returncode == 1
+        assert result.stderr == "error: --profile must be LANG=CORPUS, got 'en'\n"
 
     @pytest.mark.parametrize("latin1", ["hypothesis", "reference", "profile"])
     def test_non_utf8_input_is_named(self, tmp_path, latin1):

@@ -24,13 +24,12 @@ from trc_toolkit.client import (
     ResponseCache,
     _backoff,
     collect_responses,
-    extract_answer,
     prompt_hash,
     request_body,
 )
 from trc_toolkit.errors import AuthFailure
-from trc_toolkit.prompting import (STYLE_KINDS, DemoPool, PromptStyle, render_prompt,
-                                   select_demonstrations)
+from trc_toolkit.prompting import (STYLE_KINDS, DemoPool, PromptStyle, extract_answer,
+                                   render_prompt, select_demonstrations)
 from trc_toolkit.querygen import REFERENCE_KINDS
 
 

@@ -56,6 +56,40 @@ def test_row_line_counts_the_blank_lines_read_jsonl_skips(tmp_path):
     assert [row_line(path, index) for index in range(3)] == [1, 4, 6]
 
 
+# Whitespace that `str.strip` drops. Only the first three (with CR) are JSON
+# whitespace, so only they may share a line with a row.
+_JSON_SPACE, _OTHER_SPACE = " \t\r", "\x0c\x85\u3000\u2028"
+
+
+@st.composite
+def _jsonl_file(draw) -> tuple[str, list[int]]:
+    """A JSONL text of blank lines and rows, and the line number of each row.
+
+    A line ends at LF, so CRLF ends it too; a lone CR does not, so the lines it
+    ends are pieces of one line, all blank unless one piece is a row.
+    """
+    lines, row_lines = [], []
+    for number in range(1, draw(st.integers(0, 12)) + 1):
+        if draw(st.booleans()):
+            pad = st.text(st.sampled_from(_JSON_SPACE), max_size=3)
+            lines.append(draw(pad) + encode_json({"i": len(row_lines)}) + draw(pad))
+            row_lines.append(number)
+        else:
+            lines.append(draw(st.text(st.sampled_from(_JSON_SPACE + _OTHER_SPACE), max_size=4)))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    return text, row_lines
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_jsonl_file())
+def test_row_line_is_the_line_of_the_row_read_jsonl_yields(tmp_path_factory, generated):
+    text, row_lines = generated
+    path = tmp_path_factory.getbasetemp() / "row_line.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert [row["i"] for row in read_jsonl(path)] == list(range(len(row_lines)))
+    assert [row_line(path, index) for index in range(len(row_lines))] == row_lines
+
+
 def test_annotation_without_a_json_type_is_refused():
     @dataclass
     class Tagged:

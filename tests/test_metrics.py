@@ -12,6 +12,7 @@ from trc_toolkit.errors import (
     EmptyInput,
     LengthMismatch,
     MissingGold,
+    MixedModels,
     UnknownInstanceId,
     ZeroVariance,
 )
@@ -247,6 +248,19 @@ class TestPairResponses:
         responses = [Response("i0", "absolute", "x"), Response("i0", "absolute", "", "timeout")]
         with pytest.raises(DuplicateResponse, match="second absolute response for instance 'i0'"):
             pair_responses(responses)
+
+    @pytest.mark.parametrize("second", ["model-b", ""], ids=["named", "unnamed"])
+    def test_a_second_model_is_refused(self, second):
+        # a row without a model name reads as "", which is another name
+        responses = [Response("i0", "absolute", "x", None, "model-a"),
+                     Response("i0", "chronological", "x", None, second)]
+        with pytest.raises(MixedModels, match=f"two models, 'model-a' and {second!r}, "
+                                              "at instance 'i0'"):
+            pair_responses(responses)
+
+    def test_rows_without_a_model_name_are_one_model(self):
+        responses = [Response("i0", "absolute", "x"), Response("i0", "chronological", "y")]
+        assert pair_responses(responses) == [ResponsePair("i0", "x", "y")]
 
     def test_an_unknown_reference_kind_is_refused(self):
         with pytest.raises(ValueError, match="unknown reference kind 'Absolute'"):
