@@ -56,8 +56,8 @@ def test_row_line_counts_the_blank_lines_read_jsonl_skips(tmp_path):
     assert [row_line(path, index) for index in range(3)] == [1, 4, 6]
 
 
-# Whitespace that `str.strip` drops. Only the first three (with CR) are JSON
-# whitespace, so only they may share a line with a row.
+# Whitespace that `str.strip` drops. Only `_JSON_SPACE` (space, tab, CR) is JSON
+# whitespace too, so only it may share a line with a row.
 _JSON_SPACE, _OTHER_SPACE = " \t\r", "\x0c\x85\u3000\u2028"
 
 
