@@ -191,6 +191,8 @@ def mt_agree(hypothesis, reference, expected_lang, profiles, output):
     for spec, (_, _, corpus) in zip(profiles, specs):
         if not corpus:
             _fail(f"--profile must be LANG=CORPUS, got {spec!r}")
+    if expected_lang:
+        translation.check_profile_languages(expected_lang, (lang for lang, _, _ in specs))
     hyp_lines = read_lines(hypothesis)
     ref_lines = read_lines(reference)
     if len(hyp_lines) != len(ref_lines):

@@ -70,13 +70,9 @@ class DuplicateInstanceId(ToolkitError):
         super().__init__(message or f"instance id {instance_id!r} is already built")
 
 
-# --- prompting / SFT export ---
+# --- prompting ---
 
 class PoolTooSmall(ToolkitError):
-    pass
-
-
-class PairingViolation(ToolkitError):
     pass
 
 

@@ -16,12 +16,15 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import PairingViolation, PoolTooSmall
+from .errors import PoolTooSmall
 from .manifest import JsonRecord
-from .querygen import BenchmarkInstance, check_reference_kind
+from .querygen import REFERENCE_KINDS, BenchmarkInstance, check_reference_kind
 
 STYLE_KINDS = ("zero", "icl", "semantic-icl", "semantic-cot")  # the `--style` words
-PAIRINGS = ("cross", "unilateral")  # the `--pairing` words
+# Each `--pairing` word and the reference kinds whose pathways it exports, in
+# record order: cross aligns both references, unilateral the absolute one alone.
+SFT_KINDS = {"cross": REFERENCE_KINDS, "unilateral": ("absolute",)}
+PAIRINGS = tuple(SFT_KINDS)  # the `--pairing` words
 REASONING = "Reasoning: "  # the label of a semantic-cot demo's reasoning; no other style has it
 _ANSWER_MARKER = re.compile(r"(?i)\banswer\s*[:：]")  # an "Answer:" label, any case or colon
 
@@ -309,27 +312,10 @@ def render_rows(targets: Sequence[BenchmarkInstance], pool: Iterable[BenchmarkIn
     return rows
 
 
-def render_sft_record(instance: BenchmarkInstance, reference_kind: str,
-                      pairing: str) -> SftRecord:
-    if pairing not in PAIRINGS:
-        raise ValueError(f"unknown pairing {pairing!r}")
-    check_reference_kind(reference_kind)
-    if pairing == "unilateral" and reference_kind != "absolute":
-        raise PairingViolation("unilateral export only covers absolute queries")
-    pathway = instance.pathway(reference_kind)
-    return SftRecord(
-        instruction=INSTRUCTION,
-        input=instance.query(reference_kind),
-        output=f"{pathway}\n{instance.answer.lower()}",
-        pairing=pairing,
-    )
-
-
 def export_sft(instances: list[BenchmarkInstance], pairing: str) -> list[SftRecord]:
-    """Cross pairing emits two records per instance, unilateral one."""
-    records = []
-    for inst in instances:
-        records.append(render_sft_record(inst, "absolute", pairing))
-        if pairing == "cross":
-            records.append(render_sft_record(inst, "chronological", pairing))
-    return records
+    """One record per instance and per reference kind that `SFT_KINDS` gives the pairing."""
+    if pairing not in SFT_KINDS:
+        raise ValueError(f"unknown pairing {pairing!r}")
+    return [SftRecord(INSTRUCTION, inst.query(kind),
+                      f"{inst.pathway(kind)}\n{inst.answer.lower()}", pairing)
+            for inst in instances for kind in SFT_KINDS[pairing]]

@@ -23,7 +23,8 @@ from .errors import (
     SlotUnresolved,
     ToolkitError,
 )
-from .kb import BEFORE, neighbor_fact, normalize_relation, parse_fact_context, relation_spec
+from .kb import (BEFORE, DIRECTIONS, neighbor_fact, normalize_relation, parse_fact_context,
+                 relation_spec)
 from .manifest import JsonRecord, read_jsonl, row_line
 
 
@@ -72,7 +73,7 @@ class ConsistencyPair(JsonRecord):
     id_b: str = ""
 
 
-_DIRECTION_RX = re.compile(r"\b(right )?(before|after)\b")
+_DIRECTION_RX = re.compile(rf"\b(right )?({'|'.join(DIRECTIONS)})\b")
 
 
 def _direction_match(query: str) -> re.Match:
@@ -235,13 +236,17 @@ def read_dataset(path: str, *, across_languages: bool = False) -> list[Benchmark
     return instances
 
 
-def build_consistency_pairs(instances: list[BenchmarkInstance], n: int,
-                            seed: int) -> list[ConsistencyPair]:
-    """n positive pairs plus n antagonist pairs, seeded and deterministic."""
+def _check_sample_size(instances: list[BenchmarkInstance], n: int) -> None:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > len(instances):
         raise SampleTooLarge(f"asked for {n} of {len(instances)} instances")
+
+
+def build_consistency_pairs(instances: list[BenchmarkInstance], n: int,
+                            seed: int) -> list[ConsistencyPair]:
+    """n positive pairs plus n antagonist pairs, seeded and deterministic."""
+    _check_sample_size(instances, n)
     if n > 0 and len({inst.id for inst in instances}) < 2:
         raise SampleTooLarge("antagonist pairs need at least two distinct instance ids")
     rng = random.Random(seed)
@@ -260,9 +265,6 @@ def build_consistency_pairs(instances: list[BenchmarkInstance], n: int,
 
 def subsample(instances: list[BenchmarkInstance], n: int, seed: int) -> list[BenchmarkInstance]:
     """Seeded, order-preserving subsample (for small closed-model sweeps)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > len(instances):
-        raise SampleTooLarge(f"asked for {n} of {len(instances)} instances")
+    _check_sample_size(instances, n)
     chosen = set(random.Random(seed).sample(range(len(instances)), n))
     return [inst for i, inst in enumerate(instances) if i in chosen]

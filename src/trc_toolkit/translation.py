@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -130,13 +130,12 @@ class LanguageProfile:
     """Character-trigram frequency fingerprint for one language."""
 
     language: str
-    trigram_frequencies: dict[str, float] = field(default_factory=dict)
+    trigram_frequencies: dict[str, float]
 
     def __post_init__(self):
-        if self.trigram_frequencies:
-            total = sum(self.trigram_frequencies.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"trigram frequencies sum to {total}, expected 1")
+        total = sum(self.trigram_frequencies.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"trigram frequencies sum to {total}, expected 1")
 
     @cached_property
     def norm(self) -> float:
@@ -184,15 +183,21 @@ def detect_language(text: str, profiles: Sequence[LanguageProfile]) -> str | Non
     return best.language if score else None
 
 
-def translation_success_rate(texts: Sequence[str], expected: str,
-                             profiles: Sequence[LanguageProfile]) -> float:
-    """Percentage of texts whose nearest profile is the expected language; a
-    text with no language (see `detect_language`) is a miss."""
-    languages = {p.language for p in profiles}
+def check_profile_languages(expected: str, languages: Iterable[str]) -> None:
+    """The TSR rule on profile languages: the expected language has a profile,
+    and some profile is of another language."""
+    languages = set(languages)
     if expected not in languages:
         raise ProfileMissing(f"no profile for expected language {expected!r}")
     if len(languages) < 2:
         raise ProfileMissing("need at least one alternative language profile")
+
+
+def translation_success_rate(texts: Sequence[str], expected: str,
+                             profiles: Sequence[LanguageProfile]) -> float:
+    """Percentage of texts whose nearest profile is the expected language; a
+    text with no language (see `detect_language`) is a miss."""
+    check_profile_languages(expected, (p.language for p in profiles))
     if not texts:
         raise EmptyInput("no texts to classify")
     hits = sum(detect_language(t, profiles) == expected for t in texts)

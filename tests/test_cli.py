@@ -417,6 +417,10 @@ class TestCollect:
         ("--max-new-tokens", 0, "max_new_tokens must be >= 1, got 0"),
         ("--temperature", "nan", "temperature must be finite and >= 0, got nan"),
         ("--timeout", "inf", f"timeout must be <= {threading.TIMEOUT_MAX} s, got inf"),
+        ("--retry-limit", -1, "retry_limit must be >= 0"),
+        # a repeated option takes its last value, so this replaces the mock's URL
+        ("--endpoint", "ftp://h/v1",
+         "base_url must be an http:// or https:// URL, got 'ftp://h/v1'"),
     ])
     def test_unusable_setting_exits_1_before_any_request(self, workspace, option, value,
                                                           message):
@@ -626,6 +630,15 @@ class TestMtAgree:
                                  f"and {tmp_path / 'ref.txt'}:2\n")
         assert not (tmp_path / "mt.json").exists()
 
+    def test_two_empty_files_exit_1(self, tmp_path):
+        (tmp_path / "hyp.txt").write_text("")
+        (tmp_path / "ref.txt").write_text("")
+        result = trc("mt-agree", "--hypothesis", tmp_path / "hyp.txt",
+                     "--reference", tmp_path / "ref.txt", "--output", tmp_path / "mt.json")
+        assert result.returncode == 1
+        assert result.stderr == "error: empty input files\n"
+        assert not (tmp_path / "mt.json").exists()
+
     def test_a_blank_hypothesis_scores_0(self, tmp_path):
         (tmp_path / "hyp.txt").write_text("\n", encoding="utf-8")
         (tmp_path / "ref.txt").write_text("le chat noir\n", encoding="utf-8")
@@ -673,6 +686,36 @@ class TestMtAgree:
         assert scored == []
         assert not (tmp_path / "mt.json").exists()
 
+    @pytest.mark.parametrize("specs, message", [
+        (["en=en.txt", "fr=fr.txt"], "no profile for expected language 'de'"),
+        ([], "no profile for expected language 'de'"),
+        (["de=en.txt"], "need at least one alternative language profile"),
+    ], ids=["other-languages", "no-profile", "one-language"])
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    def test_the_profile_languages_are_checked_before_any_file_is_read(
+            self, tmp_path, monkeypatch, capsys, specs, message, encoding):
+        (tmp_path / "hyp.txt").write_bytes("le café noir\n".encode(encoding))
+        (tmp_path / "ref.txt").write_text("le chat noir\n", encoding="utf-8")
+        (tmp_path / "en.txt").write_text("she walked through the town\n", encoding="utf-8")
+        (tmp_path / "fr.txt").write_text("elle a traverse la ville\n", encoding="utf-8")
+        profiled, from_corpus = [], translation.LanguageProfile.from_corpus
+
+        def counted(language, texts):
+            profiled.append(language)
+            return from_corpus(language, texts)
+
+        monkeypatch.setattr(translation.LanguageProfile, "from_corpus", counted)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", [
+            "trc", "mt-agree", "--hypothesis", "hyp.txt", "--reference", "ref.txt",
+            "--expected-lang", "de", *[a for spec in specs for a in ("--profile", spec)],
+            "--output", "mt.json"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert profiled == []
+
     def test_every_profile_spec_is_checked_before_any_file_is_read(self, tmp_path):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("le café noir\n".encode("latin-1"))
@@ -687,9 +730,11 @@ class TestMtAgree:
         files = {name: tmp_path / f"{name}.txt" for name in ("hypothesis", "reference", "profile")}
         for name, path in files.items():
             path.write_bytes("le café noir\n".encode("latin-1" if name == latin1 else "utf-8"))
+        (tmp_path / "en.txt").write_text("the black cat\n", encoding="utf-8")
         result = trc("mt-agree", "--hypothesis", files["hypothesis"],
                      "--reference", files["reference"], "--expected-lang", "fr",
-                     "--profile", f"fr={files['profile']}", "--output", tmp_path / "mt.json")
+                     "--profile", f"fr={files['profile']}",
+                     "--profile", f"en={tmp_path / 'en.txt'}", "--output", tmp_path / "mt.json")
         assert result.returncode == 1
         assert result.stderr == (f"error: {files[latin1]}: 'utf-8' codec can't decode byte "
                                  "0xe9 in position 6: invalid continuation byte\n")
@@ -714,6 +759,14 @@ class TestSubsample:
         assert result.returncode == 1
         assert result.stderr == "error: n must be non-negative\n"
         assert not (workspace / "sub_negative.jsonl").exists()
+
+    def test_n_above_the_dataset_size_exits_1(self, workspace):
+        size = len(list(read_jsonl(workspace / "data.jsonl")))
+        result = trc("subsample", "--dataset", workspace / "data.jsonl",
+                     "--n", size + 1, "--output", workspace / "sub_large.jsonl")
+        assert result.returncode == 1
+        assert result.stderr == f"error: asked for {size + 1} of {size} instances\n"
+        assert not (workspace / "sub_large.jsonl").exists()
 
 
 class TestRowChecks:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import trc_toolkit
 from trc_toolkit.client import (
+    API_KEY_ENV,
     RETRY_WAIT_CAP,
     CacheEntry,
     EndpointConfig,
@@ -351,6 +352,17 @@ class TestCollectResponses:
         with pytest.raises(AuthFailure):
             collect_responses(PROMPTS[:1], config_for(endpoint, parallelism=1), cache)
         assert endpoint.requests == 1  # no retries on auth errors
+
+    @pytest.mark.parametrize("api_key", ["sk-test-123", None], ids=["set", "unset"])
+    def test_api_key_is_sent_as_a_bearer_token(self, endpoint, cache, monkeypatch, api_key):
+        if api_key is None:
+            monkeypatch.delenv(API_KEY_ENV, raising=False)
+        else:
+            monkeypatch.setenv(API_KEY_ENV, api_key)
+        collect_responses(PROMPTS, config_for(endpoint), cache)
+        sent = [{k.lower(): v for k, v in h.items()}.get("authorization")
+                for h in endpoint.headers]
+        assert sent == [api_key and f"Bearer {api_key}"] * len(PROMPTS)
 
     def test_failed_put_stops_every_worker(self, endpoint, tmp_path, started_threads):
         class FullDisk(ResponseCache):

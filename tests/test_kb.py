@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from trc_toolkit.errors import (
     EmptyContext,
     InvertedInterval,
+    MalformedRecord,
     MalformedTimeExpression,
     NoNeighbor,
     SubjectMismatch,
@@ -16,6 +17,7 @@ from trc_toolkit.errors import (
 from trc_toolkit.kb import (
     TimePoint,
     neighbor_fact,
+    normalize_relation,
     parse_fact_context,
     parse_time_point,
 )
@@ -113,6 +115,20 @@ class TestRoundTrip:
             parsed = parse_fact_context(render(timeline), timeline.subject,
                                         timeline.relation)
             assert parsed == timeline
+
+
+class TestNormalizeRelation:
+    @pytest.mark.parametrize("spelling, name", [
+        ("member of sports team", "member_of_sports_team"),
+        ("member_of_sports_team", "member_of_sports_team"),
+        (" Political Party ", "political_party"),
+    ])
+    def test_either_spelling_gives_the_name(self, spelling, name):
+        assert normalize_relation(spelling) == name
+
+    def test_unknown_relation_is_refused(self):
+        with pytest.raises(MalformedRecord, match="unknown relation 'spouse'"):
+            normalize_relation("spouse")
 
 
 class TestNeighborFact:

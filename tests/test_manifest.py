@@ -390,3 +390,22 @@ def test_only_transport_imports_the_network_stack():
     assert {"http.client", "ssl", "select", "base64", "urllib.request"} <= found["transport.py"]
     assert {name: modules for name, modules in found.items()
             if modules and name != "transport.py"} == {}
+
+
+def test_every_error_class_is_used_outside_errors_py():
+    """An error class that no other module raises or catches is dead code."""
+    package = Path(trc_toolkit.__file__).parent
+    errors, used = set(), set()
+    for node in ast.walk(ast.parse((package / "errors.py").read_text("utf-8"))):
+        if isinstance(node, ast.ClassDef) and \
+                {getattr(base, "id", None) for base in node.bases} & (errors | {"ToolkitError"}):
+            errors.add(node.name)
+    for path in sorted(package.glob("*.py")):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert {"MalformedRecord", "ProfileMissing"} <= errors   # the scan sees the classes
+    assert sorted(errors - used) == []

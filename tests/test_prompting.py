@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from trc_toolkit.cli import main
-from trc_toolkit.errors import DuplicateInstanceId, PairingViolation, PoolTooSmall
+from trc_toolkit.errors import DuplicateInstanceId, PoolTooSmall
 from trc_toolkit.manifest import read_jsonl, write_jsonl
 from trc_toolkit.prompting import (
     DemoPool,
@@ -19,7 +19,6 @@ from trc_toolkit.prompting import (
     PromptStyle,
     export_sft,
     render_prompt,
-    render_sft_record,
     select_demonstrations,
 )
 from trc_toolkit.querygen import REFERENCE_KINDS, BenchmarkInstance
@@ -354,20 +353,27 @@ class TestRenderPrompt:
 
 class TestSftExport:
     def test_pelikan_chronological_cross(self, pelikan_instance):
-        record = render_sft_record(pelikan_instance, "chronological", "cross")
+        record = export_sft([pelikan_instance], "cross")[1]
         assert record.input == pelikan_instance.query_chronological
         assert record.output == PELIKAN_PATHWAY_TIME + "\nvalparaiso university"
         assert "right before january 1949" in record.output
 
     def test_pelikan_absolute_cross(self, pelikan_instance):
-        record = render_sft_record(pelikan_instance, "absolute", "cross")
+        record = export_sft([pelikan_instance], "cross")[0]
         assert record.input == pelikan_instance.query_absolute
         assert record.output == PELIKAN_PATHWAY_EVENT + "\nvalparaiso university"
         assert "right before concordia seminary" in record.output
 
-    def test_unilateral_rejects_chronological(self, pelikan_instance):
-        with pytest.raises(PairingViolation):
-            render_sft_record(pelikan_instance, "chronological", "unilateral")
+    def test_unilateral_is_cross_absolute_records(self, pool):
+        cross = export_sft(pool, "cross")
+        unilateral = export_sft(pool, "unilateral")
+        assert [r.to_dict() for r in unilateral] == [
+            {**r.to_dict(), "pairing": "unilateral"} for r in cross[::2]]
+        assert [r.input for r in unilateral] == [inst.query_absolute for inst in pool]
+
+    def test_unknown_pairing_is_refused_before_any_instance(self):
+        with pytest.raises(ValueError, match="unknown pairing 'both'"):
+            export_sft([], "both")
 
     def test_cross_exports_two_per_instance(self, pool):
         records = export_sft(pool, "cross")
